@@ -27,7 +27,7 @@ summation association differs), which the parity tests pin down.
 Fused blocks: accumulators that need only the eq. (7)/(9) sufficient
 statistics also absorb a
 :class:`~repro.sampling.fused.FusedBlock` — the exact-integer
-(degree-count / visit-count / edge-key) record the fused C kernels
+(degree-count / visit-count / edge-key) record the walk kernels
 fill while advancing a session — via :meth:`absorb_block`.  Such an
 accumulator advertises its block requirements through
 :meth:`fused_needs`; the array-backed drain path and the block path

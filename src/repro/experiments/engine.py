@@ -12,22 +12,23 @@ and snapshot hooks — and :func:`run_plan` executes it:
   ``k`` budget points walks ``budget_k`` steps total instead of
   ``sum_i budget_i`` (the pre-engine drivers re-sampled the full
   budget at every point);
-- **streaming estimation**: at every checkpoint the session's trace
-  increment is drained (``take_trace``) into the plan's accumulator —
-  typically one of :mod:`repro.estimators.streaming` — and the plan's
-  ``snapshot`` hook records the measurement.  When every accumulator
-  part is fuse-capable (exposes ``fused_needs()``), in-process runs
-  skip the drain entirely and use ``SamplerSession.advance_into`` —
-  the fused C kernels fold the eq. (7)/(9) sufficient statistics
-  while walking, with bit-identical rows (``REPRO_NO_FUSED=1``
-  forces the drain path everywhere);
+- **streaming estimation**: every checkpoint is one
+  ``SamplerSession.advance_into`` call, whose item — a
+  :class:`~repro.sampling.fused.FusedBlock` of eq. (7)/(9) counts
+  folded by the walk kernels when the plan's accumulator (typically
+  one of :mod:`repro.estimators.streaming`) declares ``fused_needs()``,
+  the ``take_trace()`` increment otherwise — reaches the accumulator
+  through ``absorb_block`` or ``update``; the plan's ``snapshot`` hook
+  then records the measurement.  Both paths give bit-identical rows;
 - **multi-process fan-out**: ``run_plan(plan, replicates, procs=N)``
   ships the replicates of pool-capable samplers to a spawn-safe
   :class:`~repro.sampling.sharded.ShardedSessionPool` sharing the
-  graph through mmap'd read-only CSR buffers.  Every replicate derives
-  its RNG as ``child_rng(seed, index)`` no matter which process runs
-  it, and accumulation always happens in the parent in replicate
-  order, so ``procs=1`` and ``procs=8`` are bit-identical —
+  graph through mmap'd read-only CSR buffers; its workers run the same
+  checkpoint loop and return the items (blocks of counts rather than
+  O(steps) traces whenever the accumulator fuses).  Every replicate
+  derives its RNG as ``child_rng(seed, index)`` no matter which
+  process runs it, and accumulation always happens in the parent in
+  replicate order, so ``procs=1`` and ``procs=8`` are bit-identical —
   parallelism is a deployment knob, never a statistics change.
 
 Replicate seeding matches the historical drivers exactly: method
@@ -58,12 +59,12 @@ from __future__ import annotations
 
 import random
 from contextlib import nullcontext
-from functools import partial
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -83,11 +84,8 @@ from repro.sampling.base import (
     check_backend,
     use_backend,
 )
-from repro.sampling.fused import fusion_disabled, merge_needs
-from repro.sampling.session import (
-    default_session_starter,
-    drain_session_checkpoints,
-)
+from repro.sampling.fused import FusedBlock, FusedNeeds, merge_needs
+from repro.sampling.session import default_session_starter, record_checkpoints
 from repro.sampling.frontier import FrontierSampler
 from repro.sampling.metropolis import MetropolisHastingsWalk, MetropolisTrace
 from repro.sampling.multiple import MultipleRandomWalk
@@ -476,89 +474,24 @@ def _replicate_anytime(
     starter: Starter,
     schedule: str,
     backend: Optional[Backend],
+    needs: Optional[FusedNeeds],
 ) -> Iterator[Tuple[List[Any], int]]:
     """In-process anytime replication: one session per replicate,
-    drained at every checkpoint through the same
-    :func:`~repro.sampling.session.drain_session_checkpoints` loop the
-    pooled workers run.  Yields ``(increments, steps)`` rows lazily in
-    replicate order, so the consumer holds one replicate's trace at a
-    time.  The backend context wraps each replicate's session (the
-    default backend is only read at ``sampler.start``), not the
-    suspended generator frame."""
+    advanced through every checkpoint by the same
+    :func:`~repro.sampling.session.record_checkpoints` loop the pooled
+    workers run.  Yields ``(items, steps)`` rows lazily in replicate
+    order, so the consumer holds one replicate's items at a time.  The
+    backend context wraps each replicate's session (the default
+    backend is only read at ``sampler.start``), not the suspended
+    generator frame."""
     for index in range(replicates):
         context = (
             use_backend(backend) if backend is not None else nullcontext()
         )
         with context:
             session = starter(sampler, graph, seed, index)
-            row = drain_session_checkpoints(session, schedule, checkpoints)
+            row = record_checkpoints(session, schedule, checkpoints, needs)
         yield row
-
-
-def _replicate_anytime_fused(
-    sampler: Any,
-    graph: Any,
-    checkpoints: List[float],
-    replicates: int,
-    seed: int,
-    starter: Starter,
-    schedule: str,
-    backend: Optional[Backend],
-    accumulator_factory: Callable[[], Any],
-    snapshot: Callable[[str, Any, float], Any],
-    method: str,
-) -> Iterator[Tuple[List[Any], int]]:
-    """Fused anytime replication: ``advance_into`` instead of drain.
-
-    The checkpoint loop mirrors :func:`~repro.sampling.session.
-    drain_session_checkpoints` step for step (``steps`` schedules
-    advance by ``checkpoint - steps_taken``, ``budget`` schedules by
-    the checkpoint itself), but hands each checkpoint's statistics to
-    the accumulator as a fused block rather than materializing an
-    O(steps) trace increment.  Block absorption happens at the same
-    per-checkpoint boundaries the drain path updates at, so the rows
-    are bit-identical — fusion is a memory/speed knob, never a
-    statistics change.  Yields ``(snapshot_row, steps)`` in replicate
-    order.  Sessions opened by custom starters that predate
-    ``advance_into`` fall back to the drain loop per replicate.
-    """
-    for index in range(replicates):
-        context = (
-            use_backend(backend) if backend is not None else nullcontext()
-        )
-        with context:
-            session = starter(sampler, graph, seed, index)
-            accumulator = accumulator_factory()
-            row: List[Any] = []
-            if getattr(session, "advance_into", None) is None:
-                increments, steps = drain_session_checkpoints(
-                    session, schedule, checkpoints
-                )
-                for checkpoint, increment in zip(checkpoints, increments):
-                    accumulator.update(increment)
-                    row.append(snapshot(method, accumulator, checkpoint))
-            else:
-                try:
-                    for checkpoint in checkpoints:
-                        if schedule == "steps":
-                            session.advance_into(
-                                accumulator,
-                                steps=max(
-                                    0,
-                                    int(checkpoint) - session.steps_taken,
-                                ),
-                            )
-                        else:
-                            session.advance_into(
-                                accumulator, budget=checkpoint
-                            )
-                        row.append(snapshot(method, accumulator, checkpoint))
-                    steps = int(session.steps_taken)
-                finally:
-                    closer = getattr(session, "close", None)
-                    if closer is not None:
-                        closer()
-        yield row, steps
 
 
 def run_plan(
@@ -621,19 +554,13 @@ def run_plan(
             seed = plan.seed_for(method, method_index)
             starter = plan.starter_for(method)
             pooled = procs is not None and _pool_capable(sampler)
-            # The fused path engages only for in-process replication of
-            # plans whose every accumulator part can absorb fused
-            # blocks (probed on a throwaway accumulator); pooled runs
-            # keep the drain loop — their workers already stream
-            # increments back, and the drain path is bit-identical.
-            fused = (
-                not pooled
-                and not fusion_disabled()
-                and merge_needs((plan.accumulator_for(method),)) is not None
-            )
+            # Block statistics the plan's accumulator can absorb (probed
+            # on a throwaway accumulator), or None for the trace path.
+            needs = merge_needs((plan.accumulator_for(method),))
             run = MethodRun(
                 method=method, checkpoints=checkpoints, pooled=pooled
             )
+            rows: Iterable[Tuple[List[Any], int]]
             if pooled:
                 if pool is None:
                     from repro.sampling.sharded import ShardedSessionPool
@@ -641,7 +568,7 @@ def run_plan(
                     pool = ShardedSessionPool(
                         graph, procs=procs, executor=executor
                     )
-                raw = pool.run_anytime(
+                rows = pool.run_anytime(
                     sampler,
                     checkpoints,
                     replicates,
@@ -649,27 +576,10 @@ def run_plan(
                     schedule=plan.schedule,
                     starter=starter,
                     lazy=True,
+                    needs=needs,
                 )
-            elif fused:
-                for row, steps in _replicate_anytime_fused(
-                    sampler,
-                    graph,
-                    checkpoints,
-                    replicates,
-                    seed,
-                    starter,
-                    plan.schedule,
-                    plan.backend,
-                    partial(plan.accumulator_for, method),
-                    snapshot,
-                    method,
-                ):
-                    run.rows.append(row)
-                    run.steps_taken.append(int(steps))
-                result.methods[method] = run
-                continue
             else:
-                raw = _replicate_anytime(
+                rows = _replicate_anytime(
                     sampler,
                     graph,
                     checkpoints,
@@ -678,12 +588,18 @@ def run_plan(
                     starter,
                     plan.schedule,
                     plan.backend,
+                    needs,
                 )
-            for increments, steps in raw:
+            for items, steps in rows:
                 accumulator = plan.accumulator_for(method)
                 row: List[Any] = []
-                for checkpoint, increment in zip(checkpoints, increments):
-                    accumulator.update(increment)
+                for checkpoint, item in zip(checkpoints, items):
+                    # List-backend sessions have no block path and hand
+                    # back increments whatever the needs.
+                    if isinstance(item, FusedBlock):
+                        accumulator.absorb_block(item)
+                    else:
+                        accumulator.update(item)
                     row.append(snapshot(method, accumulator, checkpoint))
                 run.rows.append(row)
                 run.steps_taken.append(int(steps))

@@ -46,6 +46,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.sampling._cproto import parse_prototypes
+from repro.sampling.fused import FusedBlock
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 
@@ -67,40 +68,25 @@ _CTYPES: Dict[str, object] = {
 #: RPL004 (and :func:`_check_declarations` at load time) diffs against
 #: the C prototypes.
 _DECLARATIONS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    "repro_rw_steps": (
-        "void",
-        ("i64*", "i64*", "i64", "i64", "f64*", "i64*", "i64*"),
-    ),
-    "repro_fs_steps": (
-        "i64",
-        (
-            "i64*", "i64*", "i64*", "i64", "i64",
-            "i64", "f64*", "i64*", "i64*", "i64*",
-        ),
-    ),
-    "repro_mh_steps": (
-        "i64",
-        ("i64*", "i64*", "i64", "i64", "f64*", "i64*", "i64*", "i64*"),
-    ),
     "repro_rw_steps_acc": (
         "i64",
         (
             "i64*", "i64*", "i64", "i64", "f64*",
-            "i64", "i64*", "i64*", "i64*",
+            "i64", "i64*", "i64*", "i64*", "i64*", "i64*",
         ),
     ),
     "repro_fs_steps_acc": (
         "i64",
         (
-            "i64*", "i64*", "i64*", "i64", "i64", "i64",
-            "f64*", "i64", "i64*", "i64*", "i64*", "i64*",
+            "i64*", "i64*", "i64*", "i64", "i64", "i64", "f64*",
+            "i64", "i64*", "i64*", "i64*", "i64*", "i64*", "i64*", "i64*",
         ),
     ),
     "repro_mh_steps_acc": (
         "i64",
         (
-            "i64*", "i64*", "i64", "i64", "f64*",
-            "i64", "i64*", "i64*", "i64*", "i64*",
+            "i64*", "i64*", "i64", "i64", "f64*", "i64", "i64*",
+            "i64*", "i64*", "i64*", "i64*", "i64*", "i64*",
         ),
     ),
 }
@@ -281,74 +267,32 @@ def _f64(array: np.ndarray) -> "ctypes._Pointer[ctypes.c_double]":
     return array.ctypes.data_as(_DP)
 
 
-def _i64_opt(
-    array: Optional[np.ndarray],
-) -> Optional["ctypes._Pointer[ctypes.c_int64]"]:
-    """Optional block buffer: ``None`` becomes a NULL pointer."""
+_OptPtr = Optional["ctypes._Pointer[ctypes.c_int64]"]
+
+
+def _i64_opt(array: Optional[np.ndarray]) -> _OptPtr:
+    """Optional buffer: ``None`` becomes a NULL pointer."""
     return None if array is None else _i64(array)
 
 
-def rw_steps(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    start: int,
-    steps: int,
-    uniforms: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Native simple-random-walk steps; returns ``(out_u, out_v)``."""
-    lib = _lib()
-    out_u = np.empty(steps, dtype=np.int64)
-    out_v = np.empty(steps, dtype=np.int64)
-    lib.repro_rw_steps(
-        _i64(indptr), _i64(indices), start, steps, _f64(uniforms),
-        _i64(out_u), _i64(out_v),
+def _block_args(
+    block: FusedBlock, keys: Optional[np.ndarray]
+) -> Tuple[int, _OptPtr, _OptPtr, _OptPtr]:
+    """A block's ``key_base, deg_counts, visit_counts, edge_keys``
+    kernel arguments; statistics it does not need are NULL."""
+    return (
+        block.key_base,
+        _i64_opt(block.deg_counts),
+        _i64_opt(block.visit_counts),
+        _i64_opt(keys),
     )
-    return out_u, out_v
 
 
-def fs_steps(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    frontier: np.ndarray,
-    steps: int,
-    degree_selection: bool,
-    uniforms: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Native FS steps; mutates ``frontier`` in place.
+#: The same four arguments on the trace path: no block statistics.
+_NO_BLOCK = (0, None, None, None)
 
-    Returns ``(out_u, out_v, out_idx)``.
-    """
-    lib = _lib()
-    out_u = np.empty(steps, dtype=np.int64)
-    out_v = np.empty(steps, dtype=np.int64)
-    out_idx = np.empty(steps, dtype=np.int64)
-    status = lib.repro_fs_steps(
-        _i64(indptr), _i64(indices), _i64(frontier), len(frontier), steps,
-        1 if degree_selection else 0, _f64(uniforms),
-        _i64(out_u), _i64(out_v), _i64(out_idx),
-    )
-    if status != 0:
-        raise ValueError("frontier reached a state with zero total degree")
-    return out_u, out_v, out_idx
-
-
-def mh_steps(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    start: int,
-    steps: int,
-    uniforms: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Native MH walk; returns ``(edge_u, edge_v, visited)``."""
-    lib = _lib()
-    out_eu = np.empty(steps, dtype=np.int64)
-    out_ev = np.empty(steps, dtype=np.int64)
-    out_visited = np.empty(steps, dtype=np.int64)
-    accepted = lib.repro_mh_steps(
-        _i64(indptr), _i64(indices), start, steps, _f64(uniforms),
-        _i64(out_eu), _i64(out_ev), _i64(out_visited),
-    )
-    return out_eu[:accepted], out_ev[:accepted], out_visited
+#: A walk's step record, as the trace path returns it.
+Record = Tuple[np.ndarray, ...]
 
 
 def rw_steps_acc(
@@ -357,23 +301,29 @@ def rw_steps_acc(
     start: int,
     steps: int,
     uniforms: np.ndarray,
-    key_base: int,
-    deg_counts: Optional[np.ndarray],
-    visit_counts: Optional[np.ndarray],
-    edge_keys: Optional[np.ndarray],
-) -> int:
-    """Fused SRW steps: accumulate into the block buffers in place.
+    block: Optional[FusedBlock] = None,
+) -> Tuple[int, Optional[Record]]:
+    """Native simple-random-walk steps; returns ``(final, record)``.
 
-    Returns the final walker position.  Any block buffer may be
-    ``None`` to skip that statistic.
+    Without a ``block`` the kernel writes the step record ``(out_u,
+    out_v)``; with one it folds every step into the block instead and
+    ``record`` is ``None``.
     """
     lib = _lib()
+    head = (_i64(indptr), _i64(indices), start, steps, _f64(uniforms))
+    if block is not None:
+        keys = block.new_edge_buffer(steps)
+        final = lib.repro_rw_steps_acc(
+            *head, *_block_args(block, keys), None, None
+        )
+        block.commit(keys, steps)
+        return int(final), None
+    out_u = np.empty(steps, dtype=np.int64)
+    out_v = np.empty(steps, dtype=np.int64)
     final = lib.repro_rw_steps_acc(
-        _i64(indptr), _i64(indices), start, steps, _f64(uniforms),
-        key_base, _i64_opt(deg_counts), _i64_opt(visit_counts),
-        _i64_opt(edge_keys),
+        *head, *_NO_BLOCK, _i64(out_u), _i64(out_v)
     )
-    return int(final)
+    return int(final), (out_u, out_v)
 
 
 def fs_steps_acc(
@@ -383,32 +333,41 @@ def fs_steps_acc(
     steps: int,
     degree_selection: bool,
     uniforms: np.ndarray,
-    key_base: int,
-    deg_counts: Optional[np.ndarray],
-    visit_counts: Optional[np.ndarray],
-    edge_keys: Optional[np.ndarray],
-) -> None:
-    """Fused FS steps: mutates ``frontier`` and the block in place.
+    block: Optional[FusedBlock] = None,
+) -> Optional[Record]:
+    """Native FS steps; walks ``frontier`` in place.
 
-    Degree-weighted selection hands the kernel an O(m) Fenwick scratch
-    so the per-step walker search is O(log m) instead of O(m) — same
-    exact int64 prefix sums, so the selected walkers (and therefore
-    the whole walk) are bit-identical to the linear-scan kernel.
+    Without a ``block`` returns the step record ``(out_u, out_v,
+    out_idx)``; with one, folds every step into the block and returns
+    ``None``.  Degree selection hands the kernel an ``m + 1`` Fenwick
+    scratch, so each walker pick is O(log m).
     """
     lib = _lib()
-    fenwick = (
-        np.empty(len(frontier) + 1, dtype=np.int64)
-        if degree_selection
-        else None
+    m = len(frontier)
+    fenwick = np.empty(m + 1, dtype=np.int64) if degree_selection else None
+    head = (
+        _i64(indptr), _i64(indices), _i64(frontier), m, steps,
+        1 if degree_selection else 0, _f64(uniforms),
     )
-    status = lib.repro_fs_steps_acc(
-        _i64(indptr), _i64(indices), _i64(frontier), len(frontier), steps,
-        1 if degree_selection else 0, _f64(uniforms), key_base,
-        _i64_opt(deg_counts), _i64_opt(visit_counts), _i64_opt(edge_keys),
-        _i64_opt(fenwick),
-    )
+    keys: Optional[np.ndarray] = None
+    record: Optional[Record] = None
+    if block is not None:
+        keys = block.new_edge_buffer(steps)
+        status = lib.repro_fs_steps_acc(
+            *head, *_block_args(block, keys), _i64_opt(fenwick),
+            None, None, None,
+        )
+    else:
+        record = tuple(np.empty(steps, dtype=np.int64) for _ in range(3))
+        status = lib.repro_fs_steps_acc(
+            *head, *_NO_BLOCK, _i64_opt(fenwick),
+            *(_i64(out) for out in record),
+        )
     if status != 0:
         raise ValueError("frontier reached a state with zero total degree")
+    if block is not None:
+        block.commit(keys, steps)
+    return record
 
 
 def mh_steps_acc(
@@ -417,22 +376,34 @@ def mh_steps_acc(
     start: int,
     steps: int,
     uniforms: np.ndarray,
-    key_base: int,
-    deg_counts: Optional[np.ndarray],
-    visit_counts: Optional[np.ndarray],
-    edge_keys: Optional[np.ndarray],
-) -> Tuple[int, int]:
-    """Fused MH steps over accepted proposals only.
+    block: Optional[FusedBlock] = None,
+) -> Tuple[int, Optional[Record]]:
+    """Native MH walk; returns ``(final, record)``.
 
-    ``edge_keys``, when supplied, must hold ``steps`` slots; the kernel
-    fills the first ``accepted`` of them.  Returns
-    ``(accepted, final_position)``.
+    Without a ``block`` the record is ``(edge_u, edge_v, visited)``:
+    the accepted edges and the position after every proposal.  With
+    one, each accepted proposal folds into the block instead
+    (``block.steps`` grows by the accepted count) and ``record`` is
+    ``None``.
     """
     lib = _lib()
     out_state = np.empty(1, dtype=np.int64)
+    head = (_i64(indptr), _i64(indices), start, steps, _f64(uniforms))
+    if block is not None:
+        keys = block.new_edge_buffer(steps)
+        accepted = lib.repro_mh_steps_acc(
+            *head, *_block_args(block, keys), _i64(out_state),
+            None, None, None,
+        )
+        block.commit(keys, accepted)
+        return int(out_state[0]), None
+    out_eu = np.empty(steps, dtype=np.int64)
+    out_ev = np.empty(steps, dtype=np.int64)
+    out_visited = np.empty(steps, dtype=np.int64)
     accepted = lib.repro_mh_steps_acc(
-        _i64(indptr), _i64(indices), start, steps, _f64(uniforms),
-        key_base, _i64_opt(deg_counts), _i64_opt(visit_counts),
-        _i64_opt(edge_keys), _i64(out_state),
+        *head, *_NO_BLOCK, _i64(out_state),
+        _i64(out_eu), _i64(out_ev), _i64(out_visited),
     )
-    return int(accepted), int(out_state[0])
+    return int(out_state[0]), (
+        out_eu[:accepted], out_ev[:accepted], out_visited
+    )

@@ -4,10 +4,13 @@ The streaming estimators only ever reduce a trace increment down to a
 handful of small statistics — per-degree visit counts, 1/deg-reweighted
 sums, per-vertex visit counts, and the sampled edge multiset.  A
 :class:`FusedBlock` is the exact-integer carrier for those statistics:
-the fused C kernels (``repro_*_steps_acc`` in ``_kernels.c``) fold each
-stat-bearing step straight into the block while advancing the walker,
-so an anytime checkpoint costs O(max_degree) scratch instead of
-materializing an O(steps) :class:`~repro.sampling.vectorized.ArrayWalkTrace`.
+handed a block, the walk kernels (``repro_*_steps_acc`` in
+``_kernels.c``) fold each stat-bearing step straight into it while
+advancing the walker, so an anytime checkpoint costs O(max_degree)
+scratch instead of materializing an O(steps)
+:class:`~repro.sampling.vectorized.ArrayWalkTrace`.  Whether a session
+takes this block path or the trace path (``take_trace()`` →
+``update()``) depends only on its accumulators' ``fused_needs()``.
 
 Bit-equality contract: every block field is an exact int64 count —
 
@@ -18,25 +21,19 @@ Bit-equality contract: every block field is an exact int64 count —
 - ``edge_keys``      — append-order ``u * key_base + v`` keys with
   ``key_base = num_vertices``, so keys decode uniquely and sort in
   ``(u, v)`` order — the same order ``_unique_edges`` produces on the
-  drained path.
+  trace path.
 
 Float statistics (Σ1/deg and friends) are deliberately *derived in
 Python* from the integer counts rather than accumulated in C: summing
 ``count/degree`` per distinct degree is one float expression shared
-verbatim by the drained and fused estimator paths, whereas a C-side
+verbatim by the trace and block estimator paths, whereas a C-side
 running float sum would re-associate additions and drift.  Integer
 counts also make merging commutative, which is what lets the sharded
 sessions fold per-shard blocks in any order.
-
-``REPRO_NO_FUSED=1`` (checked per call, so tests can monkeypatch it)
-disables fusion everywhere: sessions and the engine fall back to the
-``take_trace()`` → ``update()`` drain path, which produces bit-identical
-estimates by construction.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
@@ -44,8 +41,13 @@ import numpy as np
 
 
 def fusion_disabled() -> bool:
-    """``True`` when ``REPRO_NO_FUSED`` is set (checked per call)."""
-    return bool(os.environ.get("REPRO_NO_FUSED"))
+    """Always ``False``: the block path has no off switch.
+
+    Sessions choose between the block and trace paths from their
+    accumulators' ``fused_needs()`` alone; the function remains for
+    callers that record it in run metadata.
+    """
+    return False
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ def merge_needs(parts: Iterable[object]) -> Optional[FusedNeeds]:
 
     A part is fuse-capable when it exposes ``fused_needs()`` returning a
     :class:`FusedNeeds`; anything else (plain trace collectors,
-    whole-trace estimators returning ``None``) forces the drain path.
+    whole-trace estimators returning ``None``) forces the trace path.
     """
     merged = FusedNeeds()
     for part in parts:
@@ -102,7 +104,7 @@ class FusedBlock:
         self.max_degree = int(max_degree)
         #: Edge keys are ``u * key_base + v``; ``key_base`` is the
         #: vertex count, which keeps the decoded (u, v) sort order
-        #: identical to the drained path's ``_unique_edges``.
+        #: identical to the trace path's ``_unique_edges``.
         self.key_base = int(num_vertices)
         #: Stat-bearing steps folded in so far (MH counts accepted
         #: proposals only, mirroring ``ArrayMetropolisTrace.step_targets``).
@@ -125,12 +127,12 @@ class FusedBlock:
             return None
         return np.empty(capacity, dtype=np.int64)
 
-    def commit_edge_keys(
-        self, buffer: Optional[np.ndarray], filled: int
-    ) -> None:
-        """Adopt the first ``filled`` keys of a buffer from a kernel call."""
-        if buffer is not None and filled:
-            self._edge_key_chunks.append(buffer[:filled])
+    def commit(self, keys: Optional[np.ndarray], filled: int) -> None:
+        """Count the ``filled`` stat-bearing steps one kernel call folded
+        in, adopting the first ``filled`` keys of its key buffer."""
+        if keys is not None and filled:
+            self._edge_key_chunks.append(keys[:filled])
+        self.steps += filled
 
     def edge_key_array(self) -> np.ndarray:
         """All committed edge keys, in append (time) order."""
@@ -150,9 +152,9 @@ class FusedBlock:
 
         The vectorized mirror of the C kernels' per-step increments
         (``np.bincount`` of int64 indices is the same exact integer
-        arithmetic), used by the pure-Python fused fallback and by the
-        sharded sessions, whose time-ordered merge already materializes
-        the step arrays.
+        arithmetic), used by the pure-Python kernels, by csr sessions
+        folding a retained step record, and by the sharded sessions,
+        whose time-ordered merge already materializes the step arrays.
         """
         if self.deg_counts is not None:
             self.deg_counts += np.bincount(

@@ -12,6 +12,13 @@ and returns a session that can
   trace the one-shot ``Sampler.sample`` API returns), or hand over
   increments via :meth:`~SamplerSession.take_trace` for streaming
   estimation in O(chunk) memory,
+- :meth:`~SamplerSession.advance_into` streaming accumulators in one
+  call: csr sessions fold a :class:`~repro.sampling.fused.FusedBlock`
+  of eq. (7)/(9) counts inside the walk kernel when every
+  accumulator's ``fused_needs()`` asks for one (the block path) and
+  hand over the ``take_trace()`` increment otherwise (the trace path);
+  :func:`record_checkpoints` makes that call once per checkpoint for
+  the experiment engine and the pool workers,
 - checkpoint to disk with :meth:`~SamplerSession.save` and resume with
   :func:`load_session` — the :attr:`~SamplerSession.state` (walker
   positions, frontier weights, RNG state, retained step record) is
@@ -48,12 +55,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.sampling import vectorized
-from repro.sampling.fused import (
-    FusedBlock,
-    FusedNeeds,
-    fusion_disabled,
-    merge_needs,
-)
+from repro.sampling.fused import FusedBlock, FusedNeeds, merge_needs
 from repro.sampling.base import (
     Edge,
     VertexTrace,
@@ -181,20 +183,7 @@ class SamplerSession(abc.ABC):
 
         Returns the number of steps actually taken (== ``steps``).
         """
-        self._take(steps)
-        self._stepped_plainly = True
-        return int(steps)
-
-    def _take(self, steps: int) -> None:
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
-        if self._graph is None:
-            raise RuntimeError(
-                "session is detached; attach a graph with load_session()"
-            )
-        if steps:
-            self._advance(int(steps))
-            self.steps_taken += int(steps)
+        return self._step(steps, None)
 
     def _target_steps(self, budget: float) -> int:
         return steps_within_budget(
@@ -209,13 +198,7 @@ class SamplerSession(abc.ABC):
         extend a run — they never rewind it.  Returns the number of new
         steps taken (per walker for MultipleRW).
         """
-        target = self._target_steps(budget)
-        delta = max(0, target - self.steps_taken)
-        self._take(delta)
-        self._budget = (
-            budget if self._budget is None else max(self._budget, budget)
-        )
-        return delta
+        return self._step(None, budget)
 
     def advance_into(
         self,
@@ -229,35 +212,68 @@ class SamplerSession(abc.ABC):
         exactly one of ``steps`` / ``budget`` selects the advance
         semantics of :meth:`advance` or :meth:`advance_budget`.  Any
         record still retained from earlier plain advances is folded in
-        too (this method leaves the session drained).  Returns the
-        number of new steps taken.
+        too (this method leaves the session drained), and every call
+        hands the accumulators exactly one item.  Returns the number of
+        new steps taken; a rejected call changes nothing.
 
-        This base implementation is the drain path — advance, then
+        This base implementation is the trace path — advance, then
         ``take_trace()`` → ``update()`` on every accumulator.  The csr
-        sessions override it to run the fused walk+accumulate kernels
-        when every accumulator can absorb a
-        :class:`~repro.sampling.fused.FusedBlock` (and fall back here
-        otherwise, or when ``REPRO_NO_FUSED`` is set); estimates are
-        bit-identical on either path.
+        sessions override it with the block path (the walk kernels fold
+        a :class:`~repro.sampling.fused.FusedBlock` for ``absorb_block``)
+        whenever every accumulator's ``fused_needs()`` names the block
+        statistics it consumes; estimates are bit-identical on either
+        path.
         """
         parts = _accumulator_parts(accumulators)
-        taken = self._advance_for(steps, budget)
+        taken = self._step(steps, budget)
         increment = self.take_trace()
         for part in parts:
             part.update(increment)
         return taken
 
-    def _advance_for(
-        self, steps: Optional[int], budget: Optional[float]
-    ) -> int:
+    def _new_steps(self, steps: Optional[int], budget: Optional[float]) -> int:
+        """Validate one advance request and count its new steps.
+
+        Exactly one of ``steps`` (as :meth:`advance`) or ``budget`` (as
+        :meth:`advance_budget`) is given.  Every check runs here, before
+        anything changes, so a rejected request leaves the walkers, the
+        record and the accumulators as they were.
+        """
         if (steps is None) == (budget is None):
             raise ValueError(
                 "pass exactly one of steps= or budget= to advance_into()"
             )
         if steps is not None:
-            return self.advance(int(steps))
-        assert budget is not None
-        return self.advance_budget(budget)
+            if steps < 0:
+                raise ValueError(f"steps must be >= 0, got {steps}")
+            delta = int(steps)
+        else:
+            assert budget is not None
+            delta = max(0, self._target_steps(budget) - self.steps_taken)
+        if self._graph is None:
+            raise RuntimeError(
+                "session is detached; attach a graph with load_session()"
+            )
+        return delta
+
+    def _step(self, steps: Optional[int], budget: Optional[float]) -> int:
+        """One validated advance onto the retained record."""
+        delta = self._new_steps(steps, budget)
+        if delta:
+            self._advance(delta)
+            self.steps_taken += delta
+        self._book(steps, budget)
+        return delta
+
+    def _book(self, steps: Optional[int], budget: Optional[float]) -> None:
+        """Budget bookkeeping for one advance (see :meth:`_trace_budget`)."""
+        if steps is not None:
+            self._stepped_plainly = True
+        else:
+            assert budget is not None
+            self._budget = (
+                budget if self._budget is None else max(self._budget, budget)
+            )
 
     def take_trace(self) -> Any:
         """Drain: return the trace increment since the last drain.
@@ -392,37 +408,64 @@ def default_session_starter(
     return sampler.start(graph, rng=child_rng(root_seed, index))
 
 
-def drain_session_checkpoints(
+class _CheckpointRecorder:
+    """Stands in for a replicate's accumulators and keeps what each
+    :meth:`SamplerSession.advance_into` call hands them.
+
+    With ``needs`` it advertises those block statistics, so csr
+    sessions take the block path and every item is a
+    :class:`~repro.sampling.fused.FusedBlock`; with ``None`` it is
+    drain-only and every item is a ``take_trace()`` increment.
+    """
+
+    def __init__(self, needs: Optional[FusedNeeds]) -> None:
+        self._needs = needs
+        self.items: List[Any] = []
+
+    def fused_needs(self) -> Optional[FusedNeeds]:
+        return self._needs
+
+    def update(self, increment: Any) -> None:
+        self.items.append(increment)
+
+    def absorb_block(self, block: FusedBlock) -> None:
+        self.items.append(block)
+
+
+def record_checkpoints(
     session: SamplerSession,
     schedule: str,
     checkpoints: Sequence[float],
+    needs: Optional[FusedNeeds] = None,
 ) -> Tuple[List[Any], int]:
-    """Advance ``session`` through ``checkpoints``, draining each one.
+    """Advance ``session`` through ``checkpoints`` with ``advance_into``.
 
-    ``schedule="budget"`` advances with ``advance_budget(checkpoint)``;
+    ``schedule="budget"`` advances to each checkpoint budget;
     ``schedule="steps"`` treats checkpoints as cumulative step counts
-    (per-walker steps for MultipleRW) and uses plain ``advance``.
-    Returns ``(increments, steps_taken)`` — the per-checkpoint
-    ``take_trace()`` drains and the session's final step count.  The
-    session is closed (when it owns resources) before returning.
+    (per-walker steps for MultipleRW).  Returns ``(items, steps_taken)``:
+    one item per checkpoint — a ``FusedBlock`` when ``needs`` is given
+    and the session has a block path, its ``take_trace()`` increment
+    otherwise — and the session's final step count.  The session is
+    closed (when it owns resources) before returning.
 
     This is THE anytime replication loop: the experiment engine's
     in-process path and the :class:`~repro.sampling.sharded.
-    ShardedSessionPool` spawn workers both run this exact function, so
-    the two paths cannot drift apart — which is what makes ``procs``
-    a statistics-invariant deployment knob.
+    ShardedSessionPool` workers both run this exact function and feed
+    the items to the accumulator in the caller, so the two paths cannot
+    drift apart — which is what makes ``procs`` a statistics-invariant
+    deployment knob.
     """
+    recorder = _CheckpointRecorder(needs)
     try:
-        increments: List[Any] = []
         for checkpoint in checkpoints:
             if schedule == "steps":
-                session.advance(
-                    max(0, int(checkpoint) - session.steps_taken)
+                session.advance_into(
+                    recorder,
+                    steps=max(0, int(checkpoint) - session.steps_taken),
                 )
             else:
-                session.advance_budget(checkpoint)
-            increments.append(session.take_trace())
-        return increments, int(session.steps_taken)
+                session.advance_into(recorder, budget=checkpoint)
+        return recorder.items, int(session.steps_taken)
     finally:
         closer = getattr(session, "close", None)
         if closer is not None:
@@ -802,10 +845,12 @@ class _ArraySession(SamplerSession):
         self._fast = _fast_form(graph, self._native)
 
     # ------------------------------------------------------------------
-    # fused advance
+    # the block path
     # ------------------------------------------------------------------
-    def _has_record(self) -> bool:
-        return bool(self._source_chunks)
+    @abc.abstractmethod
+    def _advance(self, steps: int, block: Optional[FusedBlock] = None) -> None:
+        """Take ``steps`` steps through the walk's runner: recorded as a
+        chunk, or folded into ``block`` (the walk is the same)."""
 
     def _fused_block(self, needs: FusedNeeds) -> FusedBlock:
         if self._max_degree is None:
@@ -815,70 +860,45 @@ class _ArraySession(SamplerSession):
             needs, int(self._fast.num_vertices), self._max_degree
         )
 
-    def _advance_acc(self, steps: int, block: FusedBlock) -> None:
-        """Advance ``steps`` via the fused runners, filling ``block``.
-
-        Must leave the walker state (positions, frontier, RNG stream)
-        exactly where :meth:`_advance` would — the fused runners share
-        the plain runners' draw protocol, so this holds by construction.
-        """
-        raise NotImplementedError
-
     def advance_into(
         self,
         accumulators: Any,
         steps: Optional[int] = None,
         budget: Optional[float] = None,
     ) -> int:
-        """Fused advance: walk and accumulate in one kernel pass.
+        """Walk and accumulate in one kernel pass (the block path).
 
-        Engages when every accumulator absorbs fused blocks and
-        ``REPRO_NO_FUSED`` is unset; otherwise defers to the base
-        drain path.  Estimates are bit-identical either way — the
-        estimators share one count-based reduction between their
-        drained and fused paths.
+        Engages when every accumulator's ``fused_needs()`` names its
+        block statistics; otherwise defers to the base trace path.
+        Each call absorbs exactly one block, covering the same steps one
+        ``take_trace()`` would, so estimates are bit-identical either
+        way — the estimators share one count-based reduction between
+        ``update`` and ``absorb_block``.
         """
         parts = _accumulator_parts(accumulators)
         needs = merge_needs(parts)
-        if needs is None or fusion_disabled():
+        if needs is None:
             return super().advance_into(
                 accumulators, steps=steps, budget=budget
             )
-        if (steps is None) == (budget is None):
-            raise ValueError(
-                "pass exactly one of steps= or budget= to advance_into()"
+        delta = self._new_steps(steps, budget)
+        block = self._fused_block(needs)
+        # A record retained from earlier plain advances joins the block,
+        # so mixing advance() and advance_into() loses and double-counts
+        # nothing.
+        if self._source_chunks:
+            retained = self.take_trace()
+            block.fold_step_arrays(
+                vectorized.degrees_array(self._fast),
+                retained.step_sources,
+                retained.step_targets,
             )
-        if self._graph is None:
-            raise RuntimeError(
-                "session is detached; attach a graph with load_session()"
-            )
-        # Fold any record retained from earlier plain advances first,
-        # so mixing advance() and advance_into() loses nothing and
-        # double-counts nothing.
-        if self._has_record():
-            increment = self.take_trace()
-            for part in parts:
-                part.update(increment)
-        if steps is not None:
-            if steps < 0:
-                raise ValueError(f"steps must be >= 0, got {steps}")
-            delta = int(steps)
-        else:
-            delta = max(0, self._target_steps(budget) - self.steps_taken)
         if delta:
-            block = self._fused_block(needs)
-            self._advance_acc(delta, block)
+            self._advance(delta, block)
             self.steps_taken += delta
-            for part in parts:
-                part.absorb_block(block)
-        # Mirror advance()/advance_budget() budget bookkeeping exactly.
-        if steps is not None:
-            self._stepped_plainly = True
-        else:
-            assert budget is not None
-            self._budget = (
-                budget if self._budget is None else max(self._budget, budget)
-            )
+        self._book(steps, budget)
+        for part in parts:
+            part.absorb_block(block)
         return delta
 
 
@@ -911,17 +931,12 @@ class ArraySingleSession(_ArraySession):
             return self._pinned_seeds
         return super()._draw_seeds(sampler, generator)
 
-    def _advance(self, steps: int) -> None:
-        sources, targets = vectorized.run_random_walk(
-            self._fast, self.position, steps, self.rng, self._native
+    def _advance(self, steps: int, block: Optional[FusedBlock] = None) -> None:
+        self.position, record = vectorized.run_random_walk(
+            self._fast, self.position, steps, self.rng, self._native, block
         )
-        self._record_chunk(sources, targets)
-        self.position = int(targets[-1])
-
-    def _advance_acc(self, steps: int, block: FusedBlock) -> None:
-        self.position = vectorized.run_random_walk_acc(
-            self._fast, self.position, steps, self.rng, block, self._native
-        )
+        if record is not None:
+            self._record_chunk(*record)
 
 
 class ArrayMultipleSession(_ArraySession):
@@ -958,23 +973,18 @@ class ArrayMultipleSession(_ArraySession):
             self._fast, sampler.num_walkers, sampler.seeding, generator
         )
 
-    def _advance(self, steps: int) -> None:
+    def _advance(self, steps: int, block: Optional[FusedBlock] = None) -> None:
+        # Walker-by-walker draw blocks; on the block path every walker
+        # folds into the one block (integer counts make that
+        # order-invariant).
         for idx, start in enumerate(self.positions):
-            sources, targets = vectorized.run_random_walk(
-                self._fast, start, steps, self.rng, self._native
+            self.positions[idx], record = vectorized.run_random_walk(
+                self._fast, start, steps, self.rng, self._native, block
             )
-            self._record_chunk(
-                sources, targets, np.full(steps, idx, dtype=np.int64)
-            )
-            self.positions[idx] = int(targets[-1])
-
-    def _advance_acc(self, steps: int, block: FusedBlock) -> None:
-        # Walker-by-walker draw blocks, exactly as _advance; integer
-        # block counts make the per-walker fold order-invariant.
-        for idx, start in enumerate(self.positions):
-            self.positions[idx] = vectorized.run_random_walk_acc(
-                self._fast, start, steps, self.rng, block, self._native
-            )
+            if record is not None:
+                self._record_chunk(
+                    *record, np.full(steps, idx, dtype=np.int64)
+                )
 
 
 class ArrayFrontierSession(_ArraySession):
@@ -1013,34 +1023,18 @@ class ArrayFrontierSession(_ArraySession):
             self._fast, sampler.dimension, sampler.seeding, generator
         )
 
-    def _advance(self, steps: int) -> None:
-        sources, targets, walkers = vectorized.run_frontier(
+    def _advance(self, steps: int, block: Optional[FusedBlock] = None) -> None:
+        self.frontier, record = vectorized.run_frontier(
             self._fast,
             self.frontier,
             steps,
             self.rng,
             self.walker_selection,
             self._native,
-        )
-        self._record_chunk(sources, targets, walkers)
-        # Each walker's new position is its last target in the chunk.
-        # Fancy assignment with repeated indices keeps the final write
-        # (documented numpy semantics), which makes this O(steps) —
-        # cheap enough to keep sample()'s kernel hot path intact.
-        positions = np.asarray(self.frontier, dtype=np.int64)
-        positions[walkers] = targets
-        self.frontier = positions.tolist()
-
-    def _advance_acc(self, steps: int, block: FusedBlock) -> None:
-        self.frontier = vectorized.run_frontier_acc(
-            self._fast,
-            self.frontier,
-            steps,
-            self.rng,
             block,
-            self.walker_selection,
-            self._native,
         )
+        if record is not None:
+            self._record_chunk(*record)
 
 
 class ArrayMetropolisSession(_ArraySession):
@@ -1057,18 +1051,14 @@ class ArrayMetropolisSession(_ArraySession):
         self.position = self.initial_vertices[0]
         self._visited_chunks: List[np.ndarray] = []
 
-    def _advance(self, steps: int) -> None:
-        edge_sources, edge_targets, visited = vectorized.run_metropolis(
-            self._fast, self.position, steps, self.rng, self._native
+    def _advance(self, steps: int, block: Optional[FusedBlock] = None) -> None:
+        self.position, record = vectorized.run_metropolis(
+            self._fast, self.position, steps, self.rng, self._native, block
         )
-        self._record_chunk(edge_sources, edge_targets)
-        self._visited_chunks.append(visited)
-        self.position = int(visited[-1])
-
-    def _advance_acc(self, steps: int, block: FusedBlock) -> None:
-        self.position = vectorized.run_metropolis_acc(
-            self._fast, self.position, steps, self.rng, block, self._native
-        )
+        if record is not None:
+            edge_sources, edge_targets, visited = record
+            self._record_chunk(edge_sources, edge_targets)
+            self._visited_chunks.append(visited)
 
     def _units_spent(self) -> float:
         return float(self.steps_taken)  # proposals, not accepted edges

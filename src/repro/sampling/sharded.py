@@ -33,10 +33,10 @@ bit-reproducible, and shard-count 1 and ``k`` produce identical
 traces.
 
 The clock realization also sidesteps Algorithm 1's per-step
-degree-proportional walker pick (an O(m) scan even in the native FS
-kernel): each sharded walker advances in O(1) per event through the
-SRW kernel, which is what makes the engine outscale single-process FS
-once real cores are available.
+degree-proportional walker pick (an O(log m) Fenwick descent in the
+native FS kernel): each sharded walker advances in O(1) per event
+through the SRW kernel, and the shards run in parallel once real cores
+are available.
 """
 
 from __future__ import annotations
@@ -75,17 +75,13 @@ from repro.sampling.base import (
     require_walkable_seeds,
 )
 from repro.sampling.distributed import DistributedFrontierSampler
-from repro.sampling.fused import (
-    block_from_arrays,
-    fusion_disabled,
-    merge_needs,
-)
+from repro.sampling.fused import FusedNeeds, block_from_arrays, merge_needs
 from repro.sampling.session import (
     SamplerSession,
     _accumulator_parts,
     concat_chunks,
     default_session_starter,
-    drain_session_checkpoints,
+    record_checkpoints,
 )
 from repro.sampling.vectorized import (
     ArrayWalkTrace,
@@ -225,9 +221,11 @@ def _advance_blocks(
     call requests.
     """
     steps = blocks * block_size
-    sources, targets = run_random_walk(
+    final, record = run_random_walk(
         csr, walker.position, steps, walker.walk_rng, native
     )
+    assert record is not None
+    sources, targets = record
     indptr = csr.indptr
     rates = (indptr[sources + 1] - indptr[sources]).astype(np.float64)
     holdings = walker.hold_rng.standard_exponential(steps) / rates
@@ -238,7 +236,7 @@ def _advance_blocks(
         np.cumsum(holdings[block], out=times[block])
         times[block] += clock
         clock = float(times[(k + 1) * block_size - 1])
-    walker.position = int(targets[-1])
+    walker.position = final
     walker.clock = clock
     return times, sources, targets
 
@@ -301,24 +299,27 @@ def _sample_task(
             closer()
 
 
+#: ``(starter, sampler, schedule, checkpoints, root_seed, index, needs)``.
+_AnytimeArgs = Tuple[Any, Any, str, List[float], int, int, Optional[FusedNeeds]]
+
+
 @thread_core
 def _anytime_task(
-    csr: CSRGraph,
-    native: Optional[bool],
-    args: Tuple[Any, Any, str, List[float], int, int],
+    csr: CSRGraph, native: Optional[bool], args: _AnytimeArgs
 ) -> Tuple[List[Any], int]:
-    """One anytime session drained at every checkpoint.
+    """One anytime session advanced through every checkpoint.
 
-    Returns ``(increments, steps_taken)`` — the per-checkpoint trace
-    increments (what ``take_trace`` handed out after each advance) and
-    the session's final step count.  The advance/drain loop itself is
-    :func:`~repro.sampling.session.drain_session_checkpoints` — the
-    same function the experiment engine's in-process path runs, so
-    the pooled and in-process paths cannot drift apart.
+    Returns ``(items, steps_taken)`` — one item per checkpoint (a
+    :class:`~repro.sampling.fused.FusedBlock` when ``needs`` is given,
+    the ``take_trace`` increment otherwise) and the session's final
+    step count.  The checkpoint loop itself is
+    :func:`~repro.sampling.session.record_checkpoints` — the same
+    function the experiment engine's in-process path runs, so the
+    pooled and in-process paths cannot drift apart.
     """
-    starter, sampler, schedule, checkpoints, root_seed, index = args
+    starter, sampler, schedule, checkpoints, root_seed, index, needs = args
     session = starter(sampler, csr, root_seed, index)
-    return drain_session_checkpoints(session, schedule, checkpoints)
+    return record_checkpoints(session, schedule, checkpoints, needs)
 
 
 def _shard_advance(
@@ -333,9 +334,7 @@ def _pool_sample_one(args: Tuple[Any, float, int, int]) -> Any:
     return _sample_task(_WORKER_CSR, _WORKER_NATIVE, args)
 
 
-def _pool_anytime_one(
-    args: Tuple[Any, Any, str, List[float], int, int],
-) -> Tuple[List[Any], int]:
+def _pool_anytime_one(args: _AnytimeArgs) -> Tuple[List[Any], int]:
     """Spawn wrapper for :func:`_anytime_task`."""
     return _anytime_task(_WORKER_CSR, _WORKER_NATIVE, args)
 
@@ -631,35 +630,34 @@ class ShardedFrontierSession(_SpawnPoolMixin, SamplerSession):
         steps: Optional[int] = None,
         budget: Optional[float] = None,
     ) -> int:
-        """Advance, then fold the committed increment as fused blocks.
+        """Advance, then fold the committed increment as one block.
 
         The sharded session must materialize per-shard event arrays
         anyway (the time-ordered merge is what makes shard count a
-        deployment knob), so its fused path folds each committed
-        chunk into a :class:`~repro.sampling.fused.FusedBlock` with
+        deployment knob), so its block path folds each committed
+        increment into a :class:`~repro.sampling.fused.FusedBlock` with
         the vectorized integer kernels instead of running the C
         accumulators.  Because every block field is an exact int64
         count, the per-shard/per-chunk fold order cannot change the
         result — the merge is time-order-invariant by construction —
-        and estimates stay bit-identical to the drain path.
+        and estimates stay bit-identical to the trace path.
         """
         parts = _accumulator_parts(accumulators)
         needs = merge_needs(parts)
-        if needs is None or fusion_disabled():
+        if needs is None:
             return super().advance_into(
                 accumulators, steps=steps, budget=budget
             )
-        taken = self._advance_for(steps, budget)
+        taken = self._step(steps, budget)
         increment = self.take_trace()
-        if increment.step_targets.size:
-            block = block_from_arrays(
-                needs,
-                self._csr.degrees(),
-                increment.step_sources,
-                increment.step_targets,
-            )
-            for part in parts:
-                part.absorb_block(block)
+        block = block_from_arrays(
+            needs,
+            self._csr.degrees(),
+            increment.step_sources,
+            increment.step_targets,
+        )
+        for part in parts:
+            part.absorb_block(block)
         return taken
 
     def _reattach(self, graph: Any) -> None:
@@ -880,17 +878,23 @@ class ShardedSessionPool(_SpawnPoolMixin):
         schedule: str = "budget",
         starter: Optional[Any] = None,
         lazy: bool = False,
+        needs: Optional[FusedNeeds] = None,
     ) -> Union[List[Tuple[List[Any], int]], Iterator[Tuple[List[Any], int]]]:
-        """``runs`` independent anytime sessions, drained at every
+        """``runs`` independent anytime sessions, one item per
         checkpoint.
 
         Each run opens one session (via ``starter(sampler, graph,
         root_seed, index)``; default :func:`default_session_starter`),
         advances it through the ascending ``checkpoints`` —
         ``advance_budget`` for ``schedule="budget"``, cumulative
-        ``advance`` steps for ``schedule="steps"`` — and returns the
-        per-checkpoint trace increments plus the session's final step
-        count.  This is the fan-out under
+        ``advance`` steps for ``schedule="steps"`` — and returns
+        ``(items, steps)``: one item per checkpoint plus the session's
+        final step count.  Without ``needs`` the items are the trace
+        increments ``take_trace`` hands out; with the accumulator's
+        :func:`~repro.sampling.fused.merge_needs` they are blocks
+        (:class:`~repro.sampling.fused.FusedBlock`) of exact counts,
+        so workers ship statistics instead of O(steps) traces.  This
+        is the fan-out under
         :func:`repro.experiments.engine.run_plan`: each replicate
         walks once, whatever the number of checkpoints, and the
         result is bit-identical for any worker count and executor
@@ -902,7 +906,7 @@ class ShardedSessionPool(_SpawnPoolMixin):
         ``lazy=True`` returns an iterator over the rows (task order)
         instead of a list, so a streaming consumer — the experiment
         engine accumulating replicate by replicate — never holds more
-        than one replicate's increments at a time.
+        than one replicate's items at a time.
         """
         self._check_run(sampler, runs)
         if schedule not in ("budget", "steps"):
@@ -918,7 +922,7 @@ class ShardedSessionPool(_SpawnPoolMixin):
         if starter is None:
             starter = default_session_starter
         tasks = [
-            (starter, sampler, schedule, marks, root_seed, index)
+            (starter, sampler, schedule, marks, root_seed, index, needs)
             for index in range(runs)
         ]
         if lazy:

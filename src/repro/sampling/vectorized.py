@@ -14,12 +14,20 @@ exact int64, so the three interchangeable kernel implementations —
   adjacency lists (the ``list`` reference used by the parity tests)
 
 produce **bit-for-bit identical traces** from the same seeded
-generator.  FS's degree-proportional walker pick is a cumulative-weight
-search over the frontier's degree vector (not the per-step Fenwick tree
-the interpreted sampler uses): one uniform scaled onto the frontier's
-total degree lands in some walker's slice of the concatenated
-incident-edge lists, which *is* the degree-proportional walker pick
-plus a uniform neighbor pick (Lemma 5.1's edge-frontier view).
+generator.  FS's degree-proportional walker pick scales one uniform
+onto the frontier's total degree; the walker's slice of the
+concatenated incident-edge lists it lands in *is* the
+degree-proportional walker pick plus a uniform neighbor pick (Lemma
+5.1's edge-frontier view).  The C kernel finds that slice by an
+O(log m) Fenwick descent over the frontier degree vector, the Python
+loops by a linear cumulative-degree scan; degrees are exact int64, so
+both pick the same walker and edge offset.
+
+There is one runner per walk, and it serves both statistics paths:
+without a :class:`~repro.sampling.fused.FusedBlock` it returns the step
+record (the trace path); handed one, it folds the eq. (7)/(9) counts
+into the block instead (the block path).  The walk, and the walker
+state it leaves behind, is the same either way.
 
 Draw protocol (per ``sample`` call): seed uniforms first — one per
 seed, against the walkable-vertex count (uniform seeding) or the total
@@ -38,6 +46,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph, get_csr
 from repro.graph.graph import Graph
 from repro.sampling import _native
+from repro.sampling._native import Record
 from repro.sampling.base import (
     Edge,
     WalkTrace,
@@ -303,36 +312,55 @@ def _check_frontier_start(graph: GraphLike, positions: np.ndarray) -> None:
         )
 
 
+def _fold(
+    graph: GraphLike, block: Optional[FusedBlock], record: Record
+) -> Optional[Record]:
+    """Finish a pure-Python run: hand ``record`` back on the trace path,
+    or fold its ``(sources, targets, ...)`` into ``block`` (returning
+    ``None``), the vectorized mirror of the kernels' block path."""
+    if block is None:
+        return record
+    block.fold_step_arrays(degrees_array(graph), record[0], record[1])
+    return None
+
+
 def run_random_walk(
     graph: GraphLike,
     start: int,
     steps: int,
     rng: np.random.Generator,
     native: Optional[bool] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """SRW step record ``(sources, targets)``; one uniform per step."""
+    block: Optional[FusedBlock] = None,
+) -> Tuple[int, Optional[Record]]:
+    """SRW from ``start``; one uniform per step.
+
+    Returns ``(final, record)``: the walker's last position and the
+    step record ``(sources, targets)`` — or ``None`` when a ``block``
+    is given, the steps then being folded into it.
+    """
     if graph.degree(start) == 0:
         raise ValueError(f"cannot walk from isolated vertex {start}")
     uniforms = rng.random(steps)
     if _want_native(graph, native):
-        return _native.rw_steps(
-            graph.indptr, graph.indices, start, steps, uniforms
+        return _native.rw_steps_acc(
+            graph.indptr, graph.indices, start, steps, uniforms, block
         )
     degree_of, neighbor_at = _accessors(graph)
     draws = uniforms.tolist()
     sources: List[int] = []
     targets: List[int] = []
-    current = start
+    current = int(start)
     for k in range(steps):
         degree = degree_of(current)
         nxt = neighbor_at(current, _scale(draws[k], degree))
         sources.append(current)
         targets.append(nxt)
         current = nxt
-    return (
+    record = (
         np.asarray(sources, dtype=np.int64),
         np.asarray(targets, dtype=np.int64),
     )
+    return current, _fold(graph, block, record)
 
 
 def run_frontier(
@@ -342,34 +370,41 @@ def run_frontier(
     rng: np.random.Generator,
     walker_selection: str = "degree",
     native: Optional[bool] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """FS step record ``(sources, targets, walker_indices)``.
+    block: Optional[FusedBlock] = None,
+) -> Tuple[List[int], Optional[Record]]:
+    """FS from ``frontier`` (never modified; the walk runs on a copy).
 
-    Degree selection consumes one uniform per step (cumulative-weight
-    search over the frontier degree vector); the uniform-walker
-    ablation consumes two.
+    Returns ``(final_frontier, record)`` with the step record
+    ``(sources, targets, walker_indices)`` — or ``None`` when a
+    ``block`` is given, the steps then being folded into it.  Degree
+    selection consumes one uniform per step, found by a linear
+    cumulative-degree scan here and by the kernel's Fenwick descent,
+    which pick the same walker; the uniform-walker ablation consumes
+    two.
     """
     if walker_selection not in ("degree", "uniform"):
         raise ValueError(
             "walker_selection must be 'degree' or 'uniform',"
             f" got {walker_selection!r}"
         )
-    positions_array = np.asarray(frontier, dtype=np.int64)
+    positions_array = np.array(frontier, dtype=np.int64)
     _check_frontier_start(graph, positions_array)
-    positions = positions_array.tolist()
     degree_selection = walker_selection == "degree"
     uniforms = rng.random(steps if degree_selection else 2 * steps)
     if _want_native(graph, native):
-        return _native.fs_steps(
+        record = _native.fs_steps_acc(
             graph.indptr,
             graph.indices,
-            positions_array.copy(),  # the kernel mutates it in place
+            positions_array,
             steps,
             degree_selection,
             uniforms,
+            block,
         )
+        return positions_array.tolist(), record
     degree_of, neighbor_at = _accessors(graph)
     draws = uniforms.tolist()
+    positions = positions_array.tolist()
     m = len(positions)
     total = sum(degree_of(v) for v in positions)
     sources: List[int] = []
@@ -407,11 +442,12 @@ def run_frontier(
         walker_of.append(idx)
         positions[idx] = nxt
         total += degree_of(nxt) - old_degree
-    return (
+    record = (
         np.asarray(sources, dtype=np.int64),
         np.asarray(targets, dtype=np.int64),
         np.asarray(walker_of, dtype=np.int64),
     )
+    return positions, _fold(graph, block, record)
 
 
 def run_metropolis(
@@ -420,25 +456,30 @@ def run_metropolis(
     steps: int,
     rng: np.random.Generator,
     native: Optional[bool] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """MH step record ``(edge_sources, edge_targets, visited)``.
+    block: Optional[FusedBlock] = None,
+) -> Tuple[int, Optional[Record]]:
+    """MH from ``start``; two uniforms per step.
 
-    Two uniforms per step; accepted transitions only appear in the edge
-    arrays, while ``visited`` records the position after every step.
+    Returns ``(final, record)`` with the step record ``(edge_sources,
+    edge_targets, visited)``: accepted transitions only appear in the
+    edge arrays, while ``visited`` records the position after every
+    step.  With a ``block`` the accepted transitions fold into it
+    instead (``block.steps`` grows by the accepted count, mirroring
+    ``ArrayMetropolisTrace.step_targets``) and ``record`` is ``None``.
     """
     if graph.degree(start) == 0:
         raise ValueError(f"cannot walk from isolated vertex {start}")
     uniforms = rng.random(2 * steps)
     if _want_native(graph, native):
-        return _native.mh_steps(
-            graph.indptr, graph.indices, start, steps, uniforms
+        return _native.mh_steps_acc(
+            graph.indptr, graph.indices, start, steps, uniforms, block
         )
     degree_of, neighbor_at = _accessors(graph)
     draws = uniforms.tolist()
     edge_sources: List[int] = []
     edge_targets: List[int] = []
     visited: List[int] = []
-    current = start
+    current = int(start)
     for k in range(steps):
         degree_u = degree_of(current)
         proposal = neighbor_at(current, _scale(draws[2 * k], degree_u))
@@ -448,128 +489,12 @@ def run_metropolis(
             edge_targets.append(proposal)
             current = proposal
         visited.append(current)
-    return (
+    record = (
         np.asarray(edge_sources, dtype=np.int64),
         np.asarray(edge_targets, dtype=np.int64),
         np.asarray(visited, dtype=np.int64),
     )
-
-
-# ----------------------------------------------------------------------
-# fused walk+accumulate runners
-#
-# Each mirrors the plain runner above it draw for draw (same uniforms,
-# same transition arithmetic, bit-identical walker state) but folds the
-# eq. (7)/(9) sufficient statistics into a FusedBlock instead of
-# materializing step arrays.  The native path stays O(max_degree) in
-# scratch; the pure-Python fallback reuses the plain runner and folds
-# its arrays vectorized — O(steps) memory, but only correctness (not
-# the memory bound) is promised without native kernels.
-# ----------------------------------------------------------------------
-def run_random_walk_acc(
-    graph: GraphLike,
-    start: int,
-    steps: int,
-    rng: np.random.Generator,
-    block: FusedBlock,
-    native: Optional[bool] = None,
-) -> int:
-    """Fused SRW advance; accumulates into ``block``, returns final vertex."""
-    if graph.degree(start) == 0:
-        raise ValueError(f"cannot walk from isolated vertex {start}")
-    if _want_native(graph, native):
-        assert isinstance(graph, CSRGraph)
-        uniforms = rng.random(steps)
-        edge_buffer = block.new_edge_buffer(steps)
-        final = _native.rw_steps_acc(
-            graph.indptr, graph.indices, start, steps, uniforms,
-            block.key_base, block.deg_counts, block.visit_counts,
-            edge_buffer,
-        )
-        block.commit_edge_keys(edge_buffer, steps)
-        block.steps += steps
-        return final
-    sources, targets = run_random_walk(graph, start, steps, rng, native)
-    block.fold_step_arrays(degrees_array(graph), sources, targets)
-    return int(targets[-1]) if steps else int(start)
-
-
-def run_frontier_acc(
-    graph: GraphLike,
-    frontier: Sequence[int],
-    steps: int,
-    rng: np.random.Generator,
-    block: FusedBlock,
-    walker_selection: str = "degree",
-    native: Optional[bool] = None,
-) -> List[int]:
-    """Fused FS advance; accumulates into ``block``.
-
-    Returns the updated frontier (the same walker state
-    :func:`run_frontier` leaves behind).
-    """
-    if walker_selection not in ("degree", "uniform"):
-        raise ValueError(
-            "walker_selection must be 'degree' or 'uniform',"
-            f" got {walker_selection!r}"
-        )
-    if _want_native(graph, native):
-        assert isinstance(graph, CSRGraph)
-        positions_array = np.asarray(frontier, dtype=np.int64)
-        _check_frontier_start(graph, positions_array)
-        degree_selection = walker_selection == "degree"
-        uniforms = rng.random(steps if degree_selection else 2 * steps)
-        edge_buffer = block.new_edge_buffer(steps)
-        _native.fs_steps_acc(
-            graph.indptr, graph.indices, positions_array, steps,
-            degree_selection, uniforms, block.key_base, block.deg_counts,
-            block.visit_counts, edge_buffer,
-        )
-        block.commit_edge_keys(edge_buffer, steps)
-        block.steps += steps
-        return positions_array.tolist()
-    sources, targets, walkers = run_frontier(
-        graph, frontier, steps, rng, walker_selection, native
-    )
-    block.fold_step_arrays(degrees_array(graph), sources, targets)
-    positions = np.asarray(frontier, dtype=np.int64)
-    positions[walkers] = targets
-    return positions.tolist()
-
-
-def run_metropolis_acc(
-    graph: GraphLike,
-    start: int,
-    steps: int,
-    rng: np.random.Generator,
-    block: FusedBlock,
-    native: Optional[bool] = None,
-) -> int:
-    """Fused MH advance; accumulates accepted proposals into ``block``.
-
-    Returns the final vertex.  ``block.steps`` grows by the accepted
-    count — the streaming estimators consume accepted transitions only,
-    mirroring ``ArrayMetropolisTrace.step_targets``.
-    """
-    if graph.degree(start) == 0:
-        raise ValueError(f"cannot walk from isolated vertex {start}")
-    if _want_native(graph, native):
-        assert isinstance(graph, CSRGraph)
-        uniforms = rng.random(2 * steps)
-        edge_buffer = block.new_edge_buffer(steps)
-        accepted, final = _native.mh_steps_acc(
-            graph.indptr, graph.indices, start, steps, uniforms,
-            block.key_base, block.deg_counts, block.visit_counts,
-            edge_buffer,
-        )
-        block.commit_edge_keys(edge_buffer, accepted)
-        block.steps += accepted
-        return final
-    edge_sources, edge_targets, visited = run_metropolis(
-        graph, start, steps, rng, native
-    )
-    block.fold_step_arrays(degrees_array(graph), edge_sources, edge_targets)
-    return int(visited[-1]) if steps else int(start)
+    return current, _fold(graph, block, record)
 
 
 def batch_walk_positions(
@@ -620,7 +545,9 @@ def sample_single(
     generator = ensure_np_rng(rng)
     start = make_seeds_np(graph, 1, seeding, generator)[0]
     steps = walk_steps(budget, 1, seed_cost)
-    sources, targets = run_random_walk(graph, start, steps, generator, native)
+    _, (sources, targets) = run_random_walk(
+        graph, start, steps, generator, native
+    )
     return ArrayWalkTrace(
         method=method,
         step_sources=sources,
@@ -650,7 +577,7 @@ def sample_multiple(
     source_blocks: List[np.ndarray] = []
     target_blocks: List[np.ndarray] = []
     for start in seeds:
-        sources, targets = run_random_walk(
+        _, (sources, targets) = run_random_walk(
             graph, start, steps, generator, native
         )
         source_blocks.append(sources)
@@ -687,7 +614,7 @@ def sample_frontier(
     generator = ensure_np_rng(rng)
     seeds = make_seeds_np(graph, dimension, seeding, generator)
     steps = walk_steps(budget, dimension, seed_cost)
-    sources, targets, walkers = run_frontier(
+    _, (sources, targets, walkers) = run_frontier(
         graph, seeds, steps, generator, walker_selection, native
     )
     return ArrayWalkTrace(
@@ -715,7 +642,7 @@ def frontier_trace_from(
     graph = _fast_form(graph, native)
     generator = ensure_np_rng(rng)
     seeds = [int(v) for v in initial_vertices]
-    sources, targets, walkers = run_frontier(
+    _, (sources, targets, walkers) = run_frontier(
         graph, seeds, num_steps, generator, walker_selection, native
     )
     return ArrayWalkTrace(
@@ -744,7 +671,7 @@ def sample_metropolis(
     generator = ensure_np_rng(rng)
     start = make_seeds_np(graph, 1, seeding, generator)[0]
     steps = walk_steps(budget, 1, seed_cost)
-    edge_sources, edge_targets, visited = run_metropolis(
+    _, (edge_sources, edge_targets, visited) = run_metropolis(
         graph, start, steps, generator, native
     )
     return ArrayMetropolisTrace(

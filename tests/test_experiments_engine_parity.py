@@ -58,6 +58,7 @@ from repro.sampling import (
 )
 from repro.sampling import _native
 from repro.sampling.base import walk_steps
+from repro.sampling.fused import FusedBlock, merge_needs
 from repro.sampling.sharded import resolve_executor, threads_can_scale
 from repro.util.rng import child_rng
 
@@ -598,6 +599,57 @@ class TestExecutorTorture:
         assert accumulator_state(graph, rows) == accumulator_state(
             graph, reference
         )
+
+    @given(
+        sampler_key=st.sampled_from(sorted(TORTURE_SAMPLERS)),
+        executor=st.sampled_from(["inline", "thread", "spawn"]),
+        procs=st.sampled_from([1, 2, 4]),
+        marks=chunk_schedules(),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_block_rows_match_trace_rows_across_executors(
+        self, sampler_key, executor, procs, marks, seed
+    ):
+        """Workers handed the accumulator's needs ship one block per
+        checkpoint, and the blocks estimate what the trace rows do."""
+        graph = _torture_graph()
+        sampler = TORTURE_SAMPLERS[sampler_key]()
+        if executor == "inline":
+            procs = 1
+        pool = _torture_pool(procs, None if executor == "inline" else executor)
+        needs = merge_needs([StreamingDegreePMF(graph)])
+        blocks = list(
+            pool.run_anytime(
+                sampler, marks, 3, root_seed=seed, schedule="steps",
+                needs=needs,
+            )
+        )
+        traces = list(
+            _torture_pool(1, None).run_anytime(
+                sampler, marks, 3, root_seed=seed, schedule="steps"
+            )
+        )
+        assert [len(items) for items, _ in blocks] == [len(marks)] * 3
+        assert [steps for _, steps in blocks] == [
+            steps for _, steps in traces
+        ]
+        for (block_items, _), (increments, _) in zip(blocks, traces):
+            assert all(isinstance(item, FusedBlock) for item in block_items)
+            assert [block.steps for block in block_items] == [
+                trace.step_targets.size for trace in increments
+            ]
+        states = []
+        for block_items, _steps in blocks:
+            accumulator = StreamingDegreePMF(graph)
+            for block in block_items:
+                accumulator.absorb_block(block)
+            states.append(accumulator.estimate())
+        assert states == accumulator_state(graph, traces)
 
     def test_auto_resolves_to_thread_with_native(self):
         if not _native.available():

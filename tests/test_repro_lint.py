@@ -552,12 +552,12 @@ class TestRuntimeSignatureCheck:
             REPO_ROOT / "src" / "repro" / "sampling" / "_kernels.c"
         ).read_text(encoding="utf-8")
         tampered = dict(_native._DECLARATIONS)
-        tampered["repro_rw_steps"] = ("void", ("i64*", "i64*"))
+        tampered["repro_rw_steps_acc"] = ("void", ("i64*", "i64*"))
         with pytest.raises(_native.KernelSignatureError) as excinfo:
             _native._check_declarations(tampered, source)
         message = str(excinfo.value)
-        assert "repro_rw_steps" in message
-        assert "void repro_rw_steps(i64*, i64*)" in message  # declared
+        assert "repro_rw_steps_acc" in message
+        assert "void repro_rw_steps_acc(i64*, i64*)" in message  # declared
         assert "f64*" in message  # the C side's uniforms argument
 
     def test_tampered_type_raises_readable_error(self):
@@ -567,9 +567,9 @@ class TestRuntimeSignatureCheck:
             REPO_ROOT / "src" / "repro" / "sampling" / "_kernels.c"
         ).read_text(encoding="utf-8")
         tampered = dict(_native._DECLARATIONS)
-        restype, argtypes = tampered["repro_mh_steps"]
+        restype, argtypes = tampered["repro_mh_steps_acc"]
         drifted = ("f64",) + argtypes[1:]
-        tampered["repro_mh_steps"] = (restype, drifted)
+        tampered["repro_mh_steps_acc"] = (restype, drifted)
         with pytest.raises(
             _native.KernelSignatureError, match="type mismatch"
         ):
@@ -596,12 +596,13 @@ class TestRuntimeSignatureCheck:
         ).read_text(encoding="utf-8")
         prototypes = _cproto.parse_prototypes(source)
         assert set(prototypes) == {
-            "repro_rw_steps", "repro_fs_steps", "repro_mh_steps",
             "repro_rw_steps_acc", "repro_fs_steps_acc",
             "repro_mh_steps_acc",
         }
-        assert prototypes["repro_rw_steps"].restype == "void"
-        assert prototypes["repro_fs_steps"].argtypes[0] == "i64*"
-        # The fused FS kernel's trailing arg is the optional Fenwick
-        # scratch (NULL -> linear scan).
-        assert prototypes["repro_fs_steps_acc"].argtypes[-1] == "i64*"
+        assert prototypes["repro_rw_steps_acc"].restype == "i64"
+        assert prototypes["repro_fs_steps_acc"].argtypes[0] == "i64*"
+        # The FS kernel ends with the Fenwick scratch and the NULL-able
+        # step-record outputs (out_u, out_v, out_idx).
+        assert prototypes["repro_fs_steps_acc"].argtypes[-4:] == (
+            ("i64*",) * 4
+        )

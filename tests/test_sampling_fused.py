@@ -14,13 +14,14 @@ advance mode (steps or budget) and executor:
 - walker state is bit-identical afterwards: a session advanced via
   ``advance_into`` continues with the same trace a drained twin
   produces;
-- ``REPRO_NO_FUSED=1`` forces the drain path everywhere with equal
-  results, and non-fusable accumulators (``TraceCollector``) fall back
-  automatically;
+- drain-only accumulators (no ``fused_needs``: a drain-only wrapper,
+  ``TraceCollector``) take the drain path with equal results;
 - checkpoints taken mid-fused-advance resume bit-identically.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,22 +159,6 @@ class TestSessionParity:
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
         run_parity(sampler_key, seed=11, chunks=[30, 0, 45], budget_tail=200.0)
 
-    @pytest.mark.parametrize("sampler_key", sorted(SAMPLERS))
-    def test_no_fused_env_forces_drain_path(self, sampler_key, monkeypatch):
-        """REPRO_NO_FUSED=1 routes advance_into through take_trace()
-        with identical estimates and walker state."""
-        graph = fused_graph()
-        disabled = SAMPLERS[sampler_key]().start(graph, rng=3)
-        drained = SAMPLERS[sampler_key]().start(graph, rng=3)
-        disabled_parts, drained_parts = make_parts(graph), make_parts(graph)
-        monkeypatch.setenv("REPRO_NO_FUSED", "1")
-        disabled.advance_into(disabled_parts, steps=80)
-        monkeypatch.delenv("REPRO_NO_FUSED")
-        drained.advance(80)
-        drain_into(drained, drained_parts)
-        assert estimates(disabled_parts) == estimates(drained_parts)
-        assert_same_continuation(disabled, drained)
-
     def test_trace_collector_falls_back_to_drain(self):
         """A non-fusable accumulator still works: advance_into drains
         the increment into it and leaves the session record empty."""
@@ -277,14 +262,31 @@ def average_snapshot(method, accumulator, checkpoint):
     return accumulator.estimate()
 
 
+class DrainOnly:
+    """An accumulator without ``fused_needs``: sessions feed it
+    ``take_trace()`` increments, the drain path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def update(self, increment):
+        self.inner.update(increment)
+        return self
+
+    def estimate(self):
+        return self.inner.estimate()
+
+
+def drain_only_accumulator(method):
+    return DrainOnly(streaming_accumulator(method))
+
+
 class TestEngineParity:
     @pytest.mark.parametrize("schedule,marks", [
         ("budget", [120.0, 260.0]),
         ("steps", [60, 140]),
     ])
-    def test_rows_identical_fused_drained_and_pooled(
-        self, schedule, marks, monkeypatch
-    ):
+    def test_rows_identical_fused_drained_and_pooled(self, schedule, marks):
         plan = ExperimentPlan(
             title="fused-parity",
             graph=fused_graph(),
@@ -301,9 +303,9 @@ class TestEngineParity:
             backend="csr",
         )
         fused = run_plan(plan, replicates=2)
-        monkeypatch.setenv("REPRO_NO_FUSED", "1")
-        drained = run_plan(plan, replicates=2)
-        monkeypatch.delenv("REPRO_NO_FUSED")
+        drained = run_plan(
+            replace(plan, accumulator=drain_only_accumulator), replicates=2
+        )
         legs = {
             "inline": run_plan(plan, replicates=2, procs=1),
             "thread": run_plan(
