@@ -8,14 +8,17 @@ independent crawlers where *leaving* vertex v costs an
 Exponential(deg(v)) holding time; the merged, time-ordered edge stream
 is an FS trace.
 
-This example runs both realizations side by side on the same graph and
-shows that their estimates agree — and that each distributed walker
-really did act independently (no message ever crosses walkers).
+This example runs both realizations side by side on the same graph —
+Algorithm 1 (FrontierSampler) and the clocked walkers
+(ShardedFrontierSampler, here as one inline shard) — and shows that
+their estimates agree, that each clocked walker really did act
+independently (no message ever crosses walkers), and that the same
+process shards across OS processes without changing a single event.
 
 Run:  python examples/distributed_crawlers.py
 """
 
-from repro import DistributedFrontierSampler, FrontierSampler
+from repro import FrontierSampler, ShardedFrontierSampler
 from repro.datasets import youtube_like
 from repro.estimators import degree_ccdf_from_trace
 from repro.metrics import nmse, true_degree_ccdf
@@ -35,7 +38,7 @@ def main() -> None:
     probe_degrees = [d for d in (1, 3, 10, 30) if truth.get(d, 0) > 0]
 
     centralized = FrontierSampler(dimension)
-    distributed = DistributedFrontierSampler(dimension)
+    distributed = ShardedFrontierSampler(dimension, procs=1)
 
     print(f"\n{runs} runs each, budget {budget:.0f},"
           f" m = {dimension} walkers\n")
@@ -61,10 +64,10 @@ def main() -> None:
             f" {nmse(dfs_estimates, truth[degree]):>9.3f}"
         )
 
-    # Show the independence: per-walker step counts under DFS follow
-    # each walker's own exponential clock.
-    trace = distributed.sample(graph, budget, rng=123)
-    steps = sorted(len(edges) for edges in trace.per_walker)
+    # Show the independence: per-walker step counts in the merged
+    # trace follow each walker's own exponential clock.
+    solo_trace = distributed.sample(graph, budget, rng=123)
+    steps = sorted(len(edges) for edges in solo_trace.per_walker)
     print(
         f"\nDFS per-walker steps (min/median/max):"
         f" {steps[0]}/{steps[len(steps) // 2]}/{steps[-1]}"
@@ -77,13 +80,8 @@ def main() -> None:
     # read-only CSR buffers and only the time-ordered merge is
     # centralized.  Per-walker RNG streams make the merged trace
     # identical for any shard count.
-    from repro import ShardedFrontierSampler
-
     sharded = ShardedFrontierSampler(dimension, procs=2)
     sharded_trace = sharded.sample(graph, budget, rng=123)
-    solo_trace = ShardedFrontierSampler(
-        dimension, procs=1, use_processes=False
-    ).sample(graph, budget, rng=123)
     identical = (
         sharded_trace.step_sources == solo_trace.step_sources
     ).all() and (sharded_trace.step_times == solo_trace.step_times).all()

@@ -39,7 +39,6 @@ from repro.generators import (
 )
 from repro.graph import DiGraph, Graph, largest_connected_component
 from repro.sampling import (
-    DistributedFrontierSampler,
     FrontierSampler,
     MetropolisHastingsWalk,
     MultipleRandomWalk,
@@ -54,7 +53,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DiGraph",
-    "DistributedFrontierSampler",
     "FrontierSampler",
     "Graph",
     "MetropolisHastingsWalk",

@@ -12,7 +12,8 @@ These probe the design choices DESIGN.md calls out:
   estimator beats the Metropolis-Hastings walk for degree
   distributions.
 - ``fs_vs_distributed`` — FS and its exponential-clock realization
-  (Theorem 5.5) produce statistically indistinguishable estimates.
+  (Theorem 5.5, :class:`~repro.sampling.sharded.ShardedFrontierSampler`
+  run inline) produce statistically indistinguishable estimates.
 
 Every sweep replicates through the experiment engine
 (:func:`~repro.experiments.engine.run_plan`): ``procs`` fans the
@@ -38,9 +39,9 @@ from repro.estimators.degree import (
 from repro.metrics.errors import nmse
 from repro.metrics.exact import true_degree_pmf
 from repro.sampling.base import Backend
-from repro.sampling.distributed import DistributedFrontierSampler
 from repro.sampling.frontier import FrontierSampler
 from repro.sampling.metropolis import MetropolisHastingsWalk
+from repro.sampling.sharded import ShardedFrontierSampler
 from repro.sampling.single import SingleRandomWalk
 
 
@@ -304,16 +305,19 @@ def fs_vs_distributed(
 ) -> SweepResult:
     """FS vs its exponential-clock realization (Theorem 5.5).
 
-    :class:`DistributedFrontierSampler` is list-backend-only, so under
-    ``procs`` it replicates in-process (with procs-invariant streams)
-    while FS fans out — the engine routes each method appropriately.
+    The clocked walkers run as one inline shard
+    (``ShardedFrontierSampler(dimension, procs=1)``).  A sharded
+    sampler fans out through its own ``procs``, never through the
+    engine's pool, so under ``procs`` it replicates in-process (with
+    procs-invariant streams) while FS fans out — the engine routes
+    each method appropriately.
     """
     dataset = flickr_like(scale)
     graph = dataset.graph
     budget = graph.num_vertices / 2.5
     samplers = {
         "FS (Algorithm 1)": FrontierSampler(dimension),
-        "Distributed FS": DistributedFrontierSampler(dimension),
+        "Distributed FS": ShardedFrontierSampler(dimension, procs=1),
     }
     result = degree_error_experiment(
         graph,

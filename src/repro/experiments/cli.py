@@ -94,7 +94,6 @@ def _run_one(
 
 def _build_sampler(args):
     from repro.sampling import (
-        DistributedFrontierSampler,
         FrontierSampler,
         MetropolisHastingsWalk,
         MultipleRandomWalk,
@@ -120,9 +119,7 @@ def _build_sampler(args):
     if args.sampler == "multiplerw":
         return MultipleRandomWalk(args.dimension, backend=args.backend)
     if args.sampler == "dfs":
-        if args.backend == "csr":
-            raise SystemExit("sampler 'dfs' runs on the list backend only")
-        return DistributedFrontierSampler(args.dimension)
+        return ShardedFrontierSampler(args.dimension, procs=1)
     raise SystemExit(f"unknown sampler {args.sampler!r}")
 
 
@@ -170,7 +167,9 @@ def _sample_main(argv) -> int:
         "--sampler",
         choices=("fs", "srw", "mrw", "multiplerw", "dfs"),
         default="fs",
-        help="sampling method (default fs; ignored with --resume)",
+        help="sampling method (default fs; dfs runs Theorem 5.5's"
+        " clocked walkers over CSR whatever the --backend; ignored"
+        " with --resume)",
     )
     parser.add_argument(
         "--dimension",
@@ -250,13 +249,13 @@ def _sample_main(argv) -> int:
     )
 
     if args.resume:
+        from repro.sampling.session import read_checkpoint
         from repro.sampling.sharded import (
             ShardedFrontierSession,
             resolve_executor,
         )
 
-        with open(args.resume, "rb") as handle:
-            payload = pickle.load(handle)
+        payload = read_checkpoint(args.resume)
         session = payload["session"]
         session.attach(graph)
         if args.procs is not None:

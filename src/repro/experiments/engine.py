@@ -47,11 +47,12 @@ Backend semantics:
   buffers (inline when ``procs == 1``, spawn workers otherwise); the
   numpy draw protocol differs from the list backend's, so results
   match ``plan.backend="csr"`` runs, not list-backend runs.
-  Samplers that cannot cross the process boundary (list-only walkers
-  such as :class:`~repro.sampling.distributed.DistributedFrontierSampler`,
-  the independent vertex/edge probes, anything explicitly pinned to
-  ``backend="list"``) replicate in-process regardless of ``procs`` —
-  with identical streams for every ``procs`` value, so the
+  Samplers that do not run through the pool (the independent
+  vertex/edge probes, anything explicitly pinned to
+  ``backend="list"``, and
+  :class:`~repro.sampling.sharded.ShardedFrontierSampler`, which fans
+  out through its own ``procs``) replicate in-process regardless of
+  ``procs`` — with identical streams for every ``procs`` value, so the
   procs-invariance guarantee holds method by method.
 """
 

@@ -182,12 +182,13 @@ def _sampler_multiplerw(kwargs: Mapping[str, Any]):
 
 
 def _sampler_dfs(kwargs: Mapping[str, Any]):
-    from repro.sampling import DistributedFrontierSampler
+    from repro.sampling import ShardedFrontierSampler
 
-    return DistributedFrontierSampler(
+    return ShardedFrontierSampler(
         int(kwargs.get("dimension", 16)),
         seeding=kwargs.get("seeding", "uniform"),
         seed_cost=float(kwargs.get("seed_cost", 1.0)),
+        procs=1,
     )
 
 

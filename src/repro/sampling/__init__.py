@@ -6,15 +6,17 @@ vertex-query units, the paper's convention) and an RNG, produce a
 a :class:`~repro.sampling.base.VertexTrace` (independently sampled
 vertices).  Estimators are built on top of these traces.
 
-Samplers implemented:
+Samplers implemented (the walks run on ``backend="list"`` or
+``"csr"``; a csr walk starts through its sampler's ``start()``
+session):
 
 - :class:`SingleRandomWalk` — the classic RW (Section 4).
 - :class:`MultipleRandomWalk` — ``m`` independent walkers
   (Section 4.4), with uniform or steady-state (degree-proportional)
   seeding.
 - :class:`FrontierSampler` — Algorithm 1, the paper's contribution.
-- :class:`DistributedFrontierSampler` — Theorem 5.5's exponential-clock
-  realization of FS.
+- :class:`ShardedFrontierSampler` — Theorem 5.5's exponential-clock
+  realization of FS, sharded across processes (inline at ``procs=1``).
 - :class:`MetropolisHastingsWalk` — the MRW baseline from Section 7.
 - :class:`RandomVertexSampler` / :class:`RandomEdgeSampler` —
   independent uniform sampling with the hit-ratio cost model of
@@ -34,7 +36,6 @@ from repro.sampling.base import (
     uniform_seeds,
     use_backend,
 )
-from repro.sampling.distributed import DistributedFrontierSampler
 from repro.sampling.frontier import FrontierSampler
 from repro.sampling.independent import RandomEdgeSampler, RandomVertexSampler
 from repro.sampling.metropolis import MetropolisHastingsWalk
@@ -48,17 +49,12 @@ from repro.sampling.sharded import (
     threads_can_scale,
 )
 from repro.sampling.single import SingleRandomWalk
-from repro.sampling.vectorized import (
-    ArrayMetropolisTrace,
-    ArrayWalkTrace,
-    batch_walk_positions,
-)
+from repro.sampling.vectorized import ArrayMetropolisTrace, ArrayWalkTrace
 
 __all__ = [
     "ArrayMetropolisTrace",
     "ArrayWalkTrace",
     "Backend",
-    "DistributedFrontierSampler",
     "FrontierSampler",
     "MetropolisHastingsWalk",
     "MultipleRandomWalk",
@@ -73,7 +69,6 @@ __all__ = [
     "VALID_EXECUTORS",
     "VertexTrace",
     "WalkTrace",
-    "batch_walk_positions",
     "get_default_backend",
     "load_session",
     "resolve_executor",

@@ -23,6 +23,8 @@ and returns a session that can
   :func:`load_session` — the :attr:`~SamplerSession.state` (walker
   positions, frontier weights, RNG state, retained step record) is
   picklable; only the graph itself is excluded and re-attached on load.
+  :func:`read_checkpoint` is the one reader, and it refuses a file
+  written by another version of the code with a readable error.
 
 Determinism contract: both backends draw from their RNG in
 protocol-defined units (one ``random.Random`` call per event on the
@@ -38,22 +40,23 @@ performs exactly one ``advance_budget``, which is why its traces match
 the pre-session goldens bit for bit.
 
 The csr backend advances in array-sized strides: each ``advance`` is
-one call into the kernels of :mod:`repro.sampling.vectorized` (native C
-when available), never a Python per-step loop.
+one call into the runners of :mod:`repro.sampling.vectorized` (the C
+kernels, or their pure-Python reference under ``REPRO_NO_NATIVE``),
+never a Python per-step loop.
 """
 
 from __future__ import annotations
 
 import abc
 import copy
-import heapq
 import pickle
 from pathlib import Path
 import random
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.graph.csr import get_csr
 from repro.sampling import vectorized
 from repro.sampling.fused import FusedBlock, FusedNeeds, merge_needs
 from repro.sampling.base import (
@@ -65,11 +68,7 @@ from repro.sampling.base import (
     steps_within_budget,
 )
 from repro.sampling.metropolis import MetropolisTrace
-from repro.sampling.vectorized import (
-    ArrayMetropolisTrace,
-    ArrayWalkTrace,
-    _fast_form,
-)
+from repro.sampling.vectorized import ArrayMetropolisTrace, ArrayWalkTrace
 from repro.util.alias import AliasTable
 from repro.util.fenwick import FenwickTree
 from repro.util.rng import RngLike, child_rng, ensure_np_rng, ensure_rng
@@ -472,15 +471,44 @@ def record_checkpoints(
             closer()
 
 
+class _CheckpointUnpickler(pickle.Unpickler):
+    """Names the class or module a checkpoint needs but this code lacks."""
+
+    def __init__(self, handle: BinaryIO, path: PathLike) -> None:
+        super().__init__(handle)
+        self._path = path
+
+    def find_class(self, module: str, name: str) -> Any:
+        try:
+            return super().find_class(module, name)
+        except (ImportError, AttributeError) as error:
+            raise ValueError(
+                f"checkpoint {str(self._path)!r} needs {module}.{name},"
+                " which this version of the code does not define; the"
+                " file was written by another version of the code"
+            ) from error
+
+
+def read_checkpoint(path: PathLike) -> Any:
+    """Unpickle a checkpoint file — the one reader behind
+    :func:`load_session` and the CLI's ``sample --resume``.
+
+    A file naming a class or module this version lacks (a sampler
+    since removed or renamed) fails with a ``ValueError`` naming the
+    file and the missing name.  (Checkpoints are pickles — only load
+    files you wrote.)
+    """
+    with open(path, "rb") as handle:
+        return _CheckpointUnpickler(handle, path).load()
+
+
 def load_session(path: PathLike, graph: Any) -> SamplerSession:
     """Load a checkpoint written by :meth:`SamplerSession.save`.
 
     ``graph`` must be the graph the session was started on; resumed
     runs then reproduce the uninterrupted run's trace bit for bit.
-    (Checkpoints are pickles — only load files you wrote.)
     """
-    with open(path, "rb") as handle:
-        session = pickle.load(handle)
+    session = read_checkpoint(path)
     if not isinstance(session, SamplerSession):
         raise TypeError(
             f"{str(path)!r} does not contain a SamplerSession checkpoint"
@@ -672,48 +700,6 @@ class FrontierWalkSession(_ListSession):
             weights.update(idx, float(graph.degree(v)))
 
 
-class DistributedWalkSession(_ListSession):
-    """DistributedFS: exponential-clock walkers on an event heap."""
-
-    _with_walkers = True
-
-    def __init__(
-        self,
-        sampler: Any,
-        graph: Any,
-        rng: RngLike = None,
-        initial_vertices: Optional[Sequence[int]] = None,
-    ) -> None:
-        generator = ensure_rng(rng)
-        if initial_vertices is not None:
-            seeds = [int(v) for v in initial_vertices]
-        else:
-            seeds = make_seeds(
-                graph, sampler.dimension, sampler.seeding, generator
-            )
-        super().__init__(sampler, graph, seeds, generator)
-        self.positions = list(seeds)
-        require_walkable_seeds(graph, self.positions)
-        # Event queue of (next_jump_time, walker_index); the index
-        # breaks ties deterministically.
-        self.queue: List[Tuple[float, int]] = []
-        for i, v in enumerate(self.positions):
-            holding = generator.expovariate(graph.degree(v))
-            heapq.heappush(self.queue, (holding, i))
-
-    def _advance(self, steps: int) -> None:
-        graph, rng = self._graph, self.rng
-        positions, queue = self.positions, self.queue
-        for _ in range(steps):
-            now, idx = heapq.heappop(queue)
-            u = positions[idx]
-            v = graph.random_neighbor(u, rng)
-            self._record(idx, (u, v))
-            positions[idx] = v
-            holding = rng.expovariate(graph.degree(v))
-            heapq.heappush(queue, (now + holding, idx))
-
-
 class MetropolisWalkSession(_ListSession):
     """MRW: accepted edges plus the full visit sequence (incl. holds)."""
 
@@ -782,11 +768,8 @@ class _ArraySession(SamplerSession):
     _UNPICKLED = ("_fast",)
     _with_walkers = False
 
-    def __init__(
-        self, sampler: Any, graph: Any, rng: RngLike, native: Optional[bool]
-    ) -> None:
-        self._native = native
-        self._fast = _fast_form(graph, native)
+    def __init__(self, sampler: Any, graph: Any, rng: RngLike) -> None:
+        self._fast = get_csr(graph)
         generator = ensure_np_rng(rng)
         seeds = self._draw_seeds(sampler, generator)
         super().__init__(sampler, graph, seeds)
@@ -842,7 +825,7 @@ class _ArraySession(SamplerSession):
             self._walker_chunks = []
 
     def _reattach(self, graph: Any) -> None:
-        self._fast = _fast_form(graph, self._native)
+        self._fast = get_csr(graph)
 
     # ------------------------------------------------------------------
     # the block path
@@ -910,7 +893,6 @@ class ArraySingleSession(_ArraySession):
         sampler: Any,
         graph: Any,
         rng: RngLike = None,
-        native: Optional[bool] = None,
         initial_vertices: Optional[Sequence[int]] = None,
     ) -> None:
         self._pinned_seeds = (
@@ -918,7 +900,7 @@ class ArraySingleSession(_ArraySession):
             if initial_vertices is None
             else [int(v) for v in initial_vertices]
         )
-        super().__init__(sampler, graph, rng, native)
+        super().__init__(sampler, graph, rng)
         self.position = self.initial_vertices[0]
         require_walkable_seeds(
             self._fast, [self.position], "SingleRW cannot walk from it"
@@ -933,7 +915,7 @@ class ArraySingleSession(_ArraySession):
 
     def _advance(self, steps: int, block: Optional[FusedBlock] = None) -> None:
         self.position, record = vectorized.run_random_walk(
-            self._fast, self.position, steps, self.rng, self._native, block
+            self._fast, self.position, steps, self.rng, block
         )
         if record is not None:
             self._record_chunk(*record)
@@ -950,7 +932,6 @@ class ArrayMultipleSession(_ArraySession):
         sampler: Any,
         graph: Any,
         rng: RngLike = None,
-        native: Optional[bool] = None,
         initial_vertices: Optional[Sequence[int]] = None,
     ) -> None:
         self._pinned_seeds = (
@@ -958,7 +939,7 @@ class ArrayMultipleSession(_ArraySession):
             if initial_vertices is None
             else [int(v) for v in initial_vertices]
         )
-        super().__init__(sampler, graph, rng, native)
+        super().__init__(sampler, graph, rng)
         self.positions = list(self.initial_vertices)
         require_walkable_seeds(
             self._fast, self.positions, "MultipleRW cannot walk from it"
@@ -979,7 +960,7 @@ class ArrayMultipleSession(_ArraySession):
         # order-invariant).
         for idx, start in enumerate(self.positions):
             self.positions[idx], record = vectorized.run_random_walk(
-                self._fast, start, steps, self.rng, self._native, block
+                self._fast, start, steps, self.rng, block
             )
             if record is not None:
                 self._record_chunk(
@@ -997,7 +978,6 @@ class ArrayFrontierSession(_ArraySession):
         sampler: Any,
         graph: Any,
         rng: RngLike = None,
-        native: Optional[bool] = None,
         initial_vertices: Optional[Sequence[int]] = None,
     ) -> None:
         self._pinned_seeds = (
@@ -1005,7 +985,7 @@ class ArrayFrontierSession(_ArraySession):
             if initial_vertices is None
             else [int(v) for v in initial_vertices]
         )
-        super().__init__(sampler, graph, rng, native)
+        super().__init__(sampler, graph, rng)
         self.walker_selection = sampler.walker_selection
         self.frontier = list(self.initial_vertices)
         # Drawn seeds are walkable by construction; pinned ones must be
@@ -1030,7 +1010,6 @@ class ArrayFrontierSession(_ArraySession):
             steps,
             self.rng,
             self.walker_selection,
-            self._native,
             block,
         )
         if record is not None:
@@ -1041,19 +1020,15 @@ class ArrayMetropolisSession(_ArraySession):
     """MRW on the csr backend."""
 
     def __init__(
-        self,
-        sampler: Any,
-        graph: Any,
-        rng: RngLike = None,
-        native: Optional[bool] = None,
+        self, sampler: Any, graph: Any, rng: RngLike = None
     ) -> None:
-        super().__init__(sampler, graph, rng, native)
+        super().__init__(sampler, graph, rng)
         self.position = self.initial_vertices[0]
         self._visited_chunks: List[np.ndarray] = []
 
     def _advance(self, steps: int, block: Optional[FusedBlock] = None) -> None:
         self.position, record = vectorized.run_metropolis(
-            self._fast, self.position, steps, self.rng, self._native, block
+            self._fast, self.position, steps, self.rng, block
         )
         if record is not None:
             edge_sources, edge_targets, visited = record

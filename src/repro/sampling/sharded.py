@@ -12,7 +12,10 @@ kernels) into that engine:
 - :class:`ShardedFrontierSampler` — FS realized as per-process shards
   of exponential-clock walkers sharing the graph through read-only
   mmap'd CSR files (never pickled), merged into one time-ordered
-  :class:`~repro.sampling.vectorized.ArrayWalkTrace`.
+  :class:`~repro.sampling.vectorized.ArrayWalkTrace`.  It is the
+  repo's one implementation of Theorem 5.5: at ``procs=1`` the shards
+  run inline, which is how the ablations, the suite's ``dfs`` kind and
+  the CLI's ``--sampler dfs`` run it.
 - :class:`ShardedSessionPool` — the generic fan-out: run many
   *independent* sampler sessions (SRW / MHRW / MultipleRW / FS
   replicates) across worker processes over one shared graph.
@@ -74,7 +77,6 @@ from repro.sampling.base import (
     check_seeding,
     require_walkable_seeds,
 )
-from repro.sampling.distributed import DistributedFrontierSampler
 from repro.sampling.fused import FusedNeeds, block_from_arrays, merge_needs
 from repro.sampling.session import (
     SamplerSession,
@@ -89,7 +91,7 @@ from repro.sampling.vectorized import (
     run_random_walk,
 )
 from repro.util.reentrancy import non_reentrant, thread_core
-from repro.util.rng import NpRngLike, child_rng
+from repro.util.rng import NpRngLike
 
 #: Default per-walker event-generation block (steps).  The block size
 #: is part of the draw protocol: per-block time accumulation
@@ -200,16 +202,14 @@ def _advance_blocks(
     walker: _WalkerClock,
     blocks: int,
     block_size: int,
-    native: Optional[bool],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Generate ``blocks`` more event blocks for one walker.
 
     Returns ``(times, sources, targets)`` for the new events and
-    advances the walker's position/clock/streams in place.  Mirrors
-    :class:`~repro.sampling.session.DistributedWalkSession` semantics:
-    leaving vertex ``u`` takes ``Exponential(deg(u))`` — including the
-    initial holding at the seed — and the jump crosses a uniform
-    incident edge.
+    advances the walker's position/clock/streams in place.  These are
+    Theorem 5.5's semantics: leaving vertex ``u`` takes
+    ``Exponential(deg(u))`` — including the initial holding at the
+    seed — and the jump crosses a uniform incident edge.
 
     The random draws for all blocks happen in two contiguous stream
     reads (one walk, one holding) — stream-equivalent to block-by-block
@@ -222,7 +222,7 @@ def _advance_blocks(
     """
     steps = blocks * block_size
     final, record = run_random_walk(
-        csr, walker.position, steps, walker.walk_rng, native
+        csr, walker.position, steps, walker.walk_rng
     )
     assert record is not None
     sources, targets = record
@@ -242,32 +242,29 @@ def _advance_blocks(
 
 
 # ----------------------------------------------------------------------
-# worker plumbing.  The core task functions take the graph and kernel
-# choice as explicit arguments, so the inline and thread paths call
-# them directly over the in-process CSR — no shared mutable module
-# state, which is what lets many threads run tasks concurrently.  The
-# spawn path wraps the same cores in module-level functions that read
-# the per-process globals the pool initializer pins (spawn start
-# method; graph shared via mmap, never pickled).  Inline, thread and
-# spawn therefore execute the identical task code; only the transport
-# differs, never the draw protocol.
+# worker plumbing.  The core task functions take the graph as an
+# explicit argument, so the inline and thread paths call them directly
+# over the in-process CSR — no shared mutable module state, which is
+# what lets many threads run tasks concurrently.  The spawn path wraps
+# the same cores in module-level functions that read the per-process
+# global the pool initializer pins (spawn start method; graph shared
+# via mmap, never pickled).  Inline, thread and spawn therefore execute
+# the identical task code; only the transport differs, never the draw
+# protocol.
 # ----------------------------------------------------------------------
 _WORKER_CSR: Optional[CSRGraph] = None
-_WORKER_NATIVE: Optional[bool] = None
 
 
-@non_reentrant("writes the per-process worker globals _WORKER_CSR/_WORKER_NATIVE")
-def _worker_init(stem: str, native: Optional[bool]) -> None:
+@non_reentrant("writes the per-process worker globals (_WORKER_CSR)")
+def _worker_init(stem: str) -> None:
     """Pool initializer: reopen the shared graph read-only via mmap."""
-    global _WORKER_CSR, _WORKER_NATIVE
+    global _WORKER_CSR
     _WORKER_CSR = load_csr_npy(stem, mmap=True)
-    _WORKER_NATIVE = native
 
 
 @thread_core
 def _shard_advance_task(
     csr: CSRGraph,
-    native: Optional[bool],
     task: Tuple[int, List[Tuple[_WalkerClock, int]]],
 ) -> List[Tuple[_WalkerClock, np.ndarray, np.ndarray, np.ndarray]]:
     """Advance each ``(walker, blocks)`` in the shard."""
@@ -275,28 +272,10 @@ def _shard_advance_task(
     out = []
     for walker, blocks in shard:
         times, sources, targets = _advance_blocks(
-            csr, walker, blocks, block_size, native
+            csr, walker, blocks, block_size
         )
         out.append((walker, times, sources, targets))
     return out
-
-
-@thread_core
-def _sample_task(
-    csr: CSRGraph,
-    native: Optional[bool],
-    args: Tuple[Any, float, int, int],
-) -> Any:
-    """One independent session run over the shared graph."""
-    sampler, budget, root_seed, index = args
-    session = sampler.start(csr, rng=child_rng(root_seed, index))
-    try:
-        session.advance_budget(budget)
-        return session.trace()
-    finally:
-        closer = getattr(session, "close", None)
-        if closer is not None:
-            closer()
 
 
 #: ``(starter, sampler, schedule, checkpoints, root_seed, index, needs)``.
@@ -304,9 +283,7 @@ _AnytimeArgs = Tuple[Any, Any, str, List[float], int, int, Optional[FusedNeeds]]
 
 
 @thread_core
-def _anytime_task(
-    csr: CSRGraph, native: Optional[bool], args: _AnytimeArgs
-) -> Tuple[List[Any], int]:
+def _anytime_task(csr: CSRGraph, args: _AnytimeArgs) -> Tuple[List[Any], int]:
     """One anytime session advanced through every checkpoint.
 
     Returns ``(items, steps_taken)`` — one item per checkpoint (a
@@ -326,17 +303,12 @@ def _shard_advance(
     task: Tuple[int, List[Tuple[_WalkerClock, int]]],
 ) -> List[Tuple[_WalkerClock, np.ndarray, np.ndarray, np.ndarray]]:
     """Spawn wrapper for :func:`_shard_advance_task`."""
-    return _shard_advance_task(_WORKER_CSR, _WORKER_NATIVE, task)
-
-
-def _pool_sample_one(args: Tuple[Any, float, int, int]) -> Any:
-    """Spawn wrapper for :func:`_sample_task`."""
-    return _sample_task(_WORKER_CSR, _WORKER_NATIVE, args)
+    return _shard_advance_task(_WORKER_CSR, task)
 
 
 def _pool_anytime_one(args: _AnytimeArgs) -> Tuple[List[Any], int]:
     """Spawn wrapper for :func:`_anytime_task`."""
-    return _anytime_task(_WORKER_CSR, _WORKER_NATIVE, args)
+    return _anytime_task(_WORKER_CSR, args)
 
 
 def _partition(items: List[Any], shards: int) -> List[List[Any]]:
@@ -360,16 +332,12 @@ class _SpawnPoolMixin:
     """
 
     def _init_sharing(
-        self,
-        procs: Optional[int],
-        native: Optional[bool],
-        executor: Optional[str] = None,
+        self, procs: Optional[int], executor: Optional[str] = None
     ) -> None:
         if procs is not None and procs < 1:
             raise ValueError(f"procs must be >= 1, got {procs}")
         self.procs = int(procs) if procs is not None else (os.cpu_count() or 1)
         self.executor = resolve_executor(executor)
-        self._native = native
         self._pool: Optional[Any] = None
         self._threads: Optional[ThreadPoolExecutor] = None
         self._spill_dir: Optional[Path] = None
@@ -386,7 +354,7 @@ class _SpawnPoolMixin:
             self._pool = context.Pool(
                 self.procs,
                 initializer=_worker_init,
-                initargs=(str(self._ensure_stem(csr)), self._native),
+                initargs=(str(self._ensure_stem(csr)),),
             )
         return self._pool
 
@@ -468,7 +436,7 @@ class ShardedFrontierSession(_SpawnPoolMixin, SamplerSession):
         super(_SpawnPoolMixin, self).__init__(sampler, graph, seeds)
         require_walkable_seeds(csr, seeds, "FS cannot walk from it")
         self.entropy = entropy
-        self._init_sharing(sampler.procs, sampler.native, sampler.executor)
+        self._init_sharing(sampler.procs, sampler.executor)
         self._use_processes = sampler.use_processes
         self.event_block = int(sampler.event_block)
         self._walkers = [
@@ -509,13 +477,12 @@ class ShardedFrontierSession(_SpawnPoolMixin, SamplerSession):
         ]
         if not run_parallel:
             shard_results = [
-                _shard_advance_task(self._csr, self._native, task)
-                for task in tasks
+                _shard_advance_task(self._csr, task) for task in tasks
             ]
         elif self.executor == "thread":
             shard_results = list(
                 self._ensure_threads().map(
-                    partial(_shard_advance_task, self._csr, self._native),
+                    partial(_shard_advance_task, self._csr),
                     tasks,
                 )
             )
@@ -703,7 +670,6 @@ class ShardedFrontierSampler(Sampler):
         seeding: SeedingMode = "uniform",
         seed_cost: float = 1.0,
         procs: Optional[int] = None,
-        native: Optional[bool] = None,
         use_processes: Optional[bool] = None,
         event_block: int = EVENT_BLOCK,
         executor: Optional[str] = None,
@@ -718,7 +684,6 @@ class ShardedFrontierSampler(Sampler):
         if procs is not None and procs < 1:
             raise ValueError(f"procs must be >= 1, got {procs}")
         self.procs = procs
-        self.native = native
         self.use_processes = use_processes
         if event_block < 1:
             raise ValueError(
@@ -783,12 +748,10 @@ class ShardedSessionPool(_SpawnPoolMixin):
     in-process replication bit for bit, just fanned out.
 
     Suited to samplers whose sessions run on the csr backend: SRW,
-    MHRW, MultipleRW, FS.  :class:`DistributedFrontierSampler` is
-    list-backend-only and is rejected up front — use
-    :class:`ShardedFrontierSampler` for multi-process FS instead.
-    Kernel selection is the sampler's own affair (its sessions resolve
-    native availability per process), so the pool takes no ``native``
-    knob.
+    MHRW, MultipleRW, FS.  :class:`ShardedFrontierSampler` is rejected
+    up front (it fans out through its own ``procs``).  Each session
+    picks its kernels per process (the C kernels unless
+    ``REPRO_NO_NATIVE`` is set or none compiled).
 
     ``executor`` picks the fan-out vehicle when ``procs > 1``:
     ``"spawn"`` (the default) ships tasks to worker processes,
@@ -806,16 +769,10 @@ class ShardedSessionPool(_SpawnPoolMixin):
         executor: Optional[str] = None,
     ) -> None:
         self._csr = get_csr(graph)
-        self._init_sharing(procs, None, executor)
+        self._init_sharing(procs, executor)
 
     @staticmethod
     def _check_run(sampler: Any, runs: int) -> None:
-        if isinstance(sampler, DistributedFrontierSampler):
-            raise TypeError(
-                "DistributedFrontierSampler runs on the list backend only"
-                " and cannot execute over shared CSR buffers; use"
-                " ShardedFrontierSampler for multi-process FS"
-            )
         if isinstance(sampler, ShardedFrontierSampler):
             # Its sessions would build a nested Pool inside daemonic
             # spawn workers, which multiprocessing forbids.
@@ -827,47 +784,17 @@ class ShardedSessionPool(_SpawnPoolMixin):
         if runs < 1:
             raise ValueError(f"runs must be >= 1, got {runs}")
 
-    def _map(
-        self, task_fn: Any, spawn_fn: Any, tasks: List[Any]
-    ) -> List[Any]:
-        """Run ``task_fn(csr, native, task)`` over every task, eagerly.
-
-        ``spawn_fn`` is the module-level wrapper the spawn workers run
-        (same core, graph read from the per-process globals).
-        """
-        if self.procs <= 1:
-            return [
-                task_fn(self._csr, self._native, task) for task in tasks
-            ]
-        if self.executor == "thread":
-            bound = partial(task_fn, self._csr, self._native)
-            return list(self._ensure_threads().map(bound, tasks))
-        pool = self._ensure_pool(self._csr)
-        chunk = max(1, len(tasks) // (self.procs * 4))
-        return pool.map(spawn_fn, tasks, chunksize=chunk)
-
-    def _imap(
-        self, task_fn: Any, spawn_fn: Any, tasks: List[Any]
-    ) -> Iterator[Any]:
-        """Lazy :meth:`_map`: an iterator over results in task order."""
-        if self.procs <= 1:
-            return (
-                task_fn(self._csr, self._native, task) for task in tasks
-            )
-        if self.executor == "thread":
-            bound = partial(task_fn, self._csr, self._native)
-            return self._ensure_threads().map(bound, tasks)
-        pool = self._ensure_pool(self._csr)
-        chunk = max(1, len(tasks) // (self.procs * 4))
-        return pool.imap(spawn_fn, tasks, chunksize=chunk)
-
     def run(
         self, sampler: Any, budget: float, runs: int, root_seed: int = 0
     ) -> List[Any]:
-        """``runs`` independent ``sample(graph, budget)`` traces."""
-        self._check_run(sampler, runs)
-        tasks = [(sampler, budget, root_seed, index) for index in range(runs)]
-        return self._map(_sample_task, _pool_sample_one, tasks)
+        """``runs`` independent ``sample(graph, budget)`` traces: one
+        :meth:`run_anytime` checkpoint at ``budget`` per run."""
+        return [
+            items[0]
+            for items, _ in self.run_anytime(
+                sampler, [budget], runs, root_seed=root_seed
+            )
+        ]
 
     def run_anytime(
         self,
@@ -925,6 +852,17 @@ class ShardedSessionPool(_SpawnPoolMixin):
             (starter, sampler, schedule, marks, root_seed, index, needs)
             for index in range(runs)
         ]
-        if lazy:
-            return self._imap(_anytime_task, _pool_anytime_one, tasks)
-        return self._map(_anytime_task, _pool_anytime_one, tasks)
+        rows: Iterator[Tuple[List[Any], int]]
+        if self.procs <= 1:
+            rows = (_anytime_task(self._csr, task) for task in tasks)
+        elif self.executor == "thread":
+            rows = self._ensure_threads().map(
+                partial(_anytime_task, self._csr), tasks
+            )
+        else:
+            # Spawn workers run the same core via the module-level
+            # wrapper, reading the graph from their per-process global.
+            pool = self._ensure_pool(self._csr)
+            chunk = max(1, len(tasks) // (self.procs * 4))
+            rows = pool.imap(_pool_anytime_one, tasks, chunksize=chunk)
+        return rows if lazy else list(rows)

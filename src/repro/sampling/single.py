@@ -13,7 +13,6 @@ from typing import List, Optional
 from repro.graph.graph import Graph
 from repro.sampling.base import (
     Backend,
-    Edge,
     Sampler,
     SeedingMode,
     check_backend,
@@ -22,21 +21,6 @@ from repro.sampling.base import (
     resolve_backend,
 )
 from repro.util.rng import RngLike
-
-
-def random_walk(
-    graph: Graph, start: int, num_steps: int, rng
-) -> List[Edge]:
-    """Walk ``num_steps`` edges from ``start``; returns the edge sequence."""
-    if graph.degree(start) == 0:
-        raise ValueError(f"cannot walk from isolated vertex {start}")
-    edges: List[Edge] = []
-    current = start
-    for _ in range(num_steps):
-        nxt = graph.random_neighbor(current, rng)
-        edges.append((current, nxt))
-        current = nxt
-    return edges
 
 
 class SingleRandomWalk(Sampler):

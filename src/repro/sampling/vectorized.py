@@ -5,32 +5,34 @@ Runs SRW, MHRW and m-dimensional FS against a
 randomness is pre-drawn in blocks from a :class:`numpy.random.Generator`
 and every step consumes a protocol-defined number of uniforms, scaled
 onto integer ranges with ``int(u * range)``.  All weight arithmetic is
-exact int64, so the three interchangeable kernel implementations —
+exact int64, so the two interchangeable kernel implementations —
 
 - the native C kernels (:mod:`repro.sampling._native`), used when a
-  compiler is available,
-- the pure-Python loops below running over CSR arrays, and
-- the same loops running over a :class:`~repro.graph.graph.Graph`'s
-  adjacency lists (the ``list`` reference used by the parity tests)
+  compiler is available, and
+- the pure-Python loops below running over the CSR arrays, the C
+  kernels' reference and the fallback when ``REPRO_NO_NATIVE`` is set
+  or no compiler is found
 
 produce **bit-for-bit identical traces** from the same seeded
-generator.  FS's degree-proportional walker pick scales one uniform
-onto the frontier's total degree; the walker's slice of the
-concatenated incident-edge lists it lands in *is* the
-degree-proportional walker pick plus a uniform neighbor pick (Lemma
-5.1's edge-frontier view).  The C kernel finds that slice by an
-O(log m) Fenwick descent over the frontier degree vector, the Python
-loops by a linear cumulative-degree scan; degrees are exact int64, so
-both pick the same walker and edge offset.
+generator; ``REPRO_NO_NATIVE`` is the only switch between them.  FS's
+degree-proportional walker pick scales one uniform onto the frontier's
+total degree; the walker's slice of the concatenated incident-edge
+lists it lands in *is* the degree-proportional walker pick plus a
+uniform neighbor pick (Lemma 5.1's edge-frontier view).  The C kernel
+finds that slice by an O(log m) Fenwick descent over the frontier
+degree vector, the Python loops by a linear cumulative-degree scan;
+degrees are exact int64, so both pick the same walker and edge offset.
 
 There is one runner per walk, and it serves both statistics paths:
 without a :class:`~repro.sampling.fused.FusedBlock` it returns the step
 record (the trace path); handed one, it folds the eq. (7)/(9) counts
 into the block instead (the block path).  The walk, and the walker
-state it leaves behind, is the same either way.
+state it leaves behind, is the same either way.  The runners are the
+kernels of the csr sessions (:mod:`repro.sampling.session`); a walk
+starts through its sampler's ``start()``, which draws the seeds.
 
-Draw protocol (per ``sample`` call): seed uniforms first — one per
-seed, against the walkable-vertex count (uniform seeding) or the total
+Draw protocol (per session): seed uniforms first — one per seed,
+against the walkable-vertex count (uniform seeding) or the total
 degree (stationary seeding) — then step uniforms: SRW one per step;
 FS one per step (degree selection) or two (uniform selection); MHRW
 two per step (proposal, accept); MultipleRW one block of ``steps``
@@ -43,19 +45,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, get_csr
+from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.sampling import _native
 from repro.sampling._native import Record
-from repro.sampling.base import (
-    Edge,
-    WalkTrace,
-    check_seeding,
-    multiple_walk_steps,
-    walk_steps,
-)
+from repro.sampling.base import Edge, WalkTrace
 from repro.sampling.fused import FusedBlock
-from repro.util.rng import NpRngLike, ensure_np_rng
 
 GraphLike = Union[Graph, CSRGraph]
 
@@ -197,54 +192,17 @@ def _scale(u: float, range_: int) -> int:
     return range_ - 1 if value >= range_ else value
 
 
-def _accessors(graph: GraphLike):
+def _accessors(graph: CSRGraph):
     """(degree, neighbor-at-offset) closures for the Python kernels."""
-    if isinstance(graph, CSRGraph):
-        indptr, indices = graph.as_lists()
+    indptr, indices = graph.as_lists()
 
-        def degree_of(v: int) -> int:
-            return indptr[v + 1] - indptr[v]
+    def degree_of(v: int) -> int:
+        return indptr[v + 1] - indptr[v]
 
-        def neighbor_at(v: int, offset: int) -> int:
-            return indices[indptr[v] + offset]
-
-    else:
-        adjacency = [graph.neighbors(v) for v in graph.vertices()]
-
-        def degree_of(v: int) -> int:
-            return len(adjacency[v])
-
-        def neighbor_at(v: int, offset: int) -> int:
-            return adjacency[v][offset]
+    def neighbor_at(v: int, offset: int) -> int:
+        return indices[indptr[v] + offset]
 
     return degree_of, neighbor_at
-
-
-def _want_native(graph: GraphLike, native: Optional[bool]) -> bool:
-    if native is False:
-        return False
-    usable = isinstance(graph, CSRGraph) and _native.available()
-    if native is True and not usable:
-        raise ValueError(
-            "native kernels requested but unavailable (need a CSRGraph"
-            " input, a C compiler on PATH, and REPRO_NO_NATIVE unset)"
-        )
-    return usable
-
-
-def _fast_form(graph: GraphLike, native: Optional[bool]) -> GraphLike:
-    """The representation a sampler entry point should run on.
-
-    On the default auto path an adjacency-list graph is converted (via
-    the version-tagged cache) so the native kernels can engage — this
-    is what makes ``backend="csr"`` fast even when callers hold a
-    plain :class:`Graph`.  An explicit ``native=False`` pins the input
-    representation; the parity tests rely on that to drive the
-    list-adjacency reference kernels.
-    """
-    if native is None and isinstance(graph, Graph):
-        return get_csr(graph)
-    return graph
 
 
 def uniform_seeds_np(
@@ -293,18 +251,13 @@ def make_seeds_np(
 # ----------------------------------------------------------------------
 # step kernels (native dispatch + pure-Python mirrors)
 # ----------------------------------------------------------------------
-def _check_frontier_start(graph: GraphLike, positions: np.ndarray) -> None:
+def _check_frontier_start(graph: CSRGraph, positions: np.ndarray) -> None:
     """Reject isolated frontier seeds, vectorized.
 
     Sessions re-enter the frontier runners once per advance, so a
     per-walker Python loop of numpy scalar reads would tax every chunk.
     """
-    if isinstance(graph, CSRGraph):
-        start_degrees = graph.indptr[positions + 1] - graph.indptr[positions]
-    else:
-        start_degrees = np.asarray(
-            [graph.degree(int(v)) for v in positions], dtype=np.int64
-        )
+    start_degrees = graph.indptr[positions + 1] - graph.indptr[positions]
     if positions.size and not start_degrees.all():
         isolated = int(positions[int(np.argmin(start_degrees != 0))])
         raise ValueError(
@@ -313,7 +266,7 @@ def _check_frontier_start(graph: GraphLike, positions: np.ndarray) -> None:
 
 
 def _fold(
-    graph: GraphLike, block: Optional[FusedBlock], record: Record
+    graph: CSRGraph, block: Optional[FusedBlock], record: Record
 ) -> Optional[Record]:
     """Finish a pure-Python run: hand ``record`` back on the trace path,
     or fold its ``(sources, targets, ...)`` into ``block`` (returning
@@ -325,11 +278,10 @@ def _fold(
 
 
 def run_random_walk(
-    graph: GraphLike,
+    graph: CSRGraph,
     start: int,
     steps: int,
     rng: np.random.Generator,
-    native: Optional[bool] = None,
     block: Optional[FusedBlock] = None,
 ) -> Tuple[int, Optional[Record]]:
     """SRW from ``start``; one uniform per step.
@@ -341,7 +293,7 @@ def run_random_walk(
     if graph.degree(start) == 0:
         raise ValueError(f"cannot walk from isolated vertex {start}")
     uniforms = rng.random(steps)
-    if _want_native(graph, native):
+    if _native.available():
         return _native.rw_steps_acc(
             graph.indptr, graph.indices, start, steps, uniforms, block
         )
@@ -364,12 +316,11 @@ def run_random_walk(
 
 
 def run_frontier(
-    graph: GraphLike,
+    graph: CSRGraph,
     frontier: Sequence[int],
     steps: int,
     rng: np.random.Generator,
     walker_selection: str = "degree",
-    native: Optional[bool] = None,
     block: Optional[FusedBlock] = None,
 ) -> Tuple[List[int], Optional[Record]]:
     """FS from ``frontier`` (never modified; the walk runs on a copy).
@@ -391,7 +342,7 @@ def run_frontier(
     _check_frontier_start(graph, positions_array)
     degree_selection = walker_selection == "degree"
     uniforms = rng.random(steps if degree_selection else 2 * steps)
-    if _want_native(graph, native):
+    if _native.available():
         record = _native.fs_steps_acc(
             graph.indptr,
             graph.indices,
@@ -451,11 +402,10 @@ def run_frontier(
 
 
 def run_metropolis(
-    graph: GraphLike,
+    graph: CSRGraph,
     start: int,
     steps: int,
     rng: np.random.Generator,
-    native: Optional[bool] = None,
     block: Optional[FusedBlock] = None,
 ) -> Tuple[int, Optional[Record]]:
     """MH from ``start``; two uniforms per step.
@@ -470,7 +420,7 @@ def run_metropolis(
     if graph.degree(start) == 0:
         raise ValueError(f"cannot walk from isolated vertex {start}")
     uniforms = rng.random(2 * steps)
-    if _want_native(graph, native):
+    if _native.available():
         return _native.mh_steps_acc(
             graph.indptr, graph.indices, start, steps, uniforms, block
         )
@@ -495,191 +445,3 @@ def run_metropolis(
         np.asarray(visited, dtype=np.int64),
     )
     return current, _fold(graph, block, record)
-
-
-def batch_walk_positions(
-    graph: GraphLike,
-    starts: Sequence[int],
-    steps: int,
-    rng: NpRngLike = None,
-) -> np.ndarray:
-    """Advance many independent walkers in lockstep, fully vectorized.
-
-    Returns the ``(steps + 1, len(starts))`` position history, row 0
-    being ``starts``.  Every step is one ``rng.integers`` draw into
-    each walker's CSR row slice — no per-walker Python loop — which is
-    the building block for the sharded multi-process crawls the CSR
-    core is meant to unlock.  (Utility path: not part of the
-    trace-parity protocol.)
-    """
-    csr = get_csr(graph)
-    generator = ensure_np_rng(rng)
-    positions = np.asarray(starts, dtype=np.int64)
-    if positions.size and np.any(csr.degrees()[positions] == 0):
-        raise ValueError("all starting vertices must have degree >= 1")
-    history = np.empty((steps + 1, positions.size), dtype=np.int64)
-    history[0] = positions
-    for k in range(steps):
-        positions = csr.random_neighbors(positions, generator)
-        history[k + 1] = positions
-    return history
-
-
-# ----------------------------------------------------------------------
-# sampler-level entry points (budget/seed semantics match the
-# interpreted samplers in single.py / multiple.py / frontier.py /
-# metropolis.py)
-# ----------------------------------------------------------------------
-def sample_single(
-    graph: GraphLike,
-    budget: float,
-    seeding: str = "uniform",
-    seed_cost: float = 1.0,
-    rng: NpRngLike = None,
-    method: str = "SingleRW",
-    native: Optional[bool] = None,
-) -> ArrayWalkTrace:
-    """SingleRW on the csr backend."""
-    check_seeding(seeding)
-    graph = _fast_form(graph, native)
-    generator = ensure_np_rng(rng)
-    start = make_seeds_np(graph, 1, seeding, generator)[0]
-    steps = walk_steps(budget, 1, seed_cost)
-    _, (sources, targets) = run_random_walk(
-        graph, start, steps, generator, native
-    )
-    return ArrayWalkTrace(
-        method=method,
-        step_sources=sources,
-        step_targets=targets,
-        initial_vertices=[start],
-        budget=budget,
-        seed_cost=seed_cost,
-    )
-
-
-def sample_multiple(
-    graph: GraphLike,
-    num_walkers: int,
-    budget: float,
-    seeding: str = "uniform",
-    seed_cost: float = 1.0,
-    rng: NpRngLike = None,
-    method: str = "MultipleRW",
-    native: Optional[bool] = None,
-) -> ArrayWalkTrace:
-    """MultipleRW on the csr backend (walker-by-walker draw order)."""
-    check_seeding(seeding)
-    graph = _fast_form(graph, native)
-    generator = ensure_np_rng(rng)
-    seeds = make_seeds_np(graph, num_walkers, seeding, generator)
-    steps = multiple_walk_steps(budget, num_walkers, seed_cost)
-    source_blocks: List[np.ndarray] = []
-    target_blocks: List[np.ndarray] = []
-    for start in seeds:
-        _, (sources, targets) = run_random_walk(
-            graph, start, steps, generator, native
-        )
-        source_blocks.append(sources)
-        target_blocks.append(targets)
-    return ArrayWalkTrace(
-        method=method,
-        step_sources=np.concatenate(source_blocks)
-        if source_blocks
-        else np.empty(0, np.int64),
-        step_targets=np.concatenate(target_blocks)
-        if target_blocks
-        else np.empty(0, np.int64),
-        initial_vertices=seeds,
-        budget=budget,
-        seed_cost=seed_cost,
-        step_walkers=np.repeat(np.arange(num_walkers, dtype=np.int64), steps),
-    )
-
-
-def sample_frontier(
-    graph: GraphLike,
-    dimension: int,
-    budget: float,
-    seeding: str = "uniform",
-    seed_cost: float = 1.0,
-    walker_selection: str = "degree",
-    rng: NpRngLike = None,
-    method: str = "FS",
-    native: Optional[bool] = None,
-) -> ArrayWalkTrace:
-    """m-dimensional FS on the csr backend (Algorithm 1 semantics)."""
-    check_seeding(seeding)
-    graph = _fast_form(graph, native)
-    generator = ensure_np_rng(rng)
-    seeds = make_seeds_np(graph, dimension, seeding, generator)
-    steps = walk_steps(budget, dimension, seed_cost)
-    _, (sources, targets, walkers) = run_frontier(
-        graph, seeds, steps, generator, walker_selection, native
-    )
-    return ArrayWalkTrace(
-        method=method,
-        step_sources=sources,
-        step_targets=targets,
-        initial_vertices=seeds,
-        budget=budget,
-        seed_cost=seed_cost,
-        step_walkers=walkers,
-    )
-
-
-def frontier_trace_from(
-    graph: GraphLike,
-    initial_vertices: Sequence[int],
-    num_steps: int,
-    seed_cost: float = 1.0,
-    walker_selection: str = "degree",
-    rng: NpRngLike = None,
-    method: str = "FS",
-    native: Optional[bool] = None,
-) -> ArrayWalkTrace:
-    """FS from pinned initial positions (csr-backend ``sample_from``)."""
-    graph = _fast_form(graph, native)
-    generator = ensure_np_rng(rng)
-    seeds = [int(v) for v in initial_vertices]
-    _, (sources, targets, walkers) = run_frontier(
-        graph, seeds, num_steps, generator, walker_selection, native
-    )
-    return ArrayWalkTrace(
-        method=method,
-        step_sources=sources,
-        step_targets=targets,
-        initial_vertices=seeds,
-        budget=num_steps + seed_cost * len(seeds),
-        seed_cost=seed_cost,
-        step_walkers=walkers,
-    )
-
-
-def sample_metropolis(
-    graph: GraphLike,
-    budget: float,
-    seeding: str = "uniform",
-    seed_cost: float = 1.0,
-    rng: NpRngLike = None,
-    method: str = "MRW",
-    native: Optional[bool] = None,
-) -> ArrayMetropolisTrace:
-    """MHRW on the csr backend."""
-    check_seeding(seeding)
-    graph = _fast_form(graph, native)
-    generator = ensure_np_rng(rng)
-    start = make_seeds_np(graph, 1, seeding, generator)[0]
-    steps = walk_steps(budget, 1, seed_cost)
-    _, (edge_sources, edge_targets, visited) = run_metropolis(
-        graph, start, steps, generator, native
-    )
-    return ArrayMetropolisTrace(
-        method,
-        edge_sources,
-        edge_targets,
-        [start],
-        budget,
-        seed_cost,
-        visited_array=visited,
-    )

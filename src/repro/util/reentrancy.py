@@ -41,7 +41,7 @@ def thread_core(fn: _F) -> _F:
     Contract (statically enforced by repro-lint RPL003): the function
     must not write module globals (no ``global`` declarations) and must
     not call anything marked :func:`non_reentrant`.  Shared state comes
-    in through arguments — e.g. the ``(csr, native, task)`` signature
+    in through arguments — e.g. the ``(csr, task)`` signature
     of the sharded worker cores.
     """
     setattr(fn, THREAD_CORE_ATTR, True)

@@ -113,7 +113,35 @@ class TestSampleSubcommand:
         out = capsys.readouterr().out
         assert "resumed FS session" in out
 
-    def test_dfs_rejects_csr_backend(self):
-        with pytest.raises(SystemExit):
-            main(["sample", "--ba", "100", "2", "--sampler", "dfs",
-                  "--backend", "csr", "--budget", "50"])
+    @pytest.mark.parametrize("backend", ["list", "csr"])
+    def test_dfs_runs_the_sharded_clock_walkers(
+        self, tmp_path, capsys, backend
+    ):
+        """``--sampler dfs`` is Theorem 5.5's sharded sampler run
+        inline, on either --backend, and it checkpoints and resumes."""
+        checkpoint = str(tmp_path / "dfs.ckpt")
+        base = ["sample", "--ba", "300", "2", "--sampler", "dfs",
+                "--dimension", "4", "--backend", backend]
+        assert main(base + ["--budget", "100",
+                            "--checkpoint", checkpoint]) == 0
+        assert "started ShardedFS session" in capsys.readouterr().out
+        assert main(base + ["--budget", "150", "--resume", checkpoint]) == 0
+        out = capsys.readouterr().out
+        assert "resumed ShardedFS session" in out
+        assert "session done: 146 steps" in out
+
+    def test_resume_refuses_a_checkpoint_from_another_version(
+        self, tmp_path
+    ):
+        checkpoint = tmp_path / "old.ckpt"
+        # A pickle naming a session class this code does not define.
+        checkpoint.write_bytes(
+            b"crepro.sampling.session\nDistributedWalkSession\n."
+        )
+        with pytest.raises(ValueError) as excinfo:
+            main(["sample", "--ba", "100", "2", "--budget", "50",
+                  "--resume", str(checkpoint)])
+        message = str(excinfo.value)
+        assert str(checkpoint) in message
+        assert "DistributedWalkSession" in message
+        assert "another version of the code" in message

@@ -446,9 +446,9 @@ class TestProcsInvariance:
         for row_a, row_b in zip(a.rows, b.rows):
             assert row_a.gaps == row_b.gaps
 
-    def test_ablation_with_list_only_sampler(self):
-        """DFS replicates in-process under procs; FS fans out —
-        results must still be procs-invariant end to end."""
+    def test_ablation_with_in_process_sampler(self):
+        """The sharded DFS arm replicates in-process under procs; FS
+        fans out — results must still be procs-invariant end to end."""
         a = ablations.fs_vs_distributed(
             scale=0.1, runs=RUNS, dimension=8, procs=1
         )

@@ -511,7 +511,6 @@ class TestRegistryAdoption:
         from repro.util.reentrancy import is_thread_core
 
         assert is_thread_core(sharded._shard_advance_task)
-        assert is_thread_core(sharded._sample_task)
         assert is_thread_core(sharded._anytime_task)
 
     def test_global_mutators_are_marked_non_reentrant(self):

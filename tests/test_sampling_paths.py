@@ -152,8 +152,10 @@ def test_record_checkpoints_returns_one_item_per_checkpoint(needs):
 
 
 @pytest.mark.parametrize("with_block", [False, True])
-@pytest.mark.parametrize("native", [None, False])
-def test_run_frontier_walks_a_copy(native, with_block):
+@pytest.mark.parametrize("no_native", [False, True])
+def test_run_frontier_walks_a_copy(monkeypatch, no_native, with_block):
+    if no_native:
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
     csr = get_csr(path_graph())
     frontier = np.array([0, 5, 9], dtype=np.int64)
     block = (
@@ -166,8 +168,7 @@ def test_run_frontier_walks_a_copy(native, with_block):
         else None
     )
     final, record = vectorized.run_frontier(
-        csr, frontier, 50, np.random.default_rng(0), native=native,
-        block=block,
+        csr, frontier, 50, np.random.default_rng(0), block=block
     )
     assert frontier.tolist() == [0, 5, 9]
     assert len(final) == 3

@@ -25,13 +25,13 @@ import pytest
 
 from repro.generators.ba import barabasi_albert
 from repro.sampling import (
-    DistributedFrontierSampler,
     FrontierSampler,
     MetropolisHastingsWalk,
     MultipleRandomWalk,
     RandomEdgeSampler,
     RandomVertexSampler,
     SamplerSession,
+    ShardedFrontierSampler,
     SingleRandomWalk,
     VertexTrace,
     load_session,
@@ -95,7 +95,7 @@ ALL_SAMPLERS = [
     MetropolisHastingsWalk(),
     FrontierSampler(6),
     MultipleRandomWalk(4),
-    DistributedFrontierSampler(4),
+    ShardedFrontierSampler(4, procs=1),
     RandomVertexSampler(0.8),
     RandomEdgeSampler(0.9),
     SingleRandomWalk(backend="csr"),
@@ -307,6 +307,31 @@ class TestResumeDeterminism:
             pickle.dump({"not": "a session"}, handle)
         with pytest.raises(TypeError):
             load_session(path, graph)
+
+    @pytest.mark.parametrize(
+        "missing",
+        [
+            "repro.sampling.session.RetiredSession",
+            "repro.sampling.retired.RetiredSampler",
+        ],
+    )
+    def test_checkpoint_from_another_version_is_refused_readably(
+        self, graph, tmp_path, missing
+    ):
+        """A checkpoint naming a class or module this code does not
+        define fails with a ValueError naming the file and the missing
+        name — not a bare unpickling AttributeError/ImportError."""
+        module, name = missing.rsplit(".", 1)
+        path = tmp_path / "old.ckpt"
+        # A bare GLOBAL opcode, as a pickled instance of that class
+        # would begin.
+        path.write_bytes(f"c{module}\n{name}\n.".encode())
+        with pytest.raises(ValueError) as excinfo:
+            load_session(path, graph)
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert missing in message
+        assert "another version of the code" in message
 
     def test_detached_session_cannot_advance(self, graph, tmp_path):
         session = SingleRandomWalk().start(graph, rng=1)

@@ -9,8 +9,10 @@ The contract under test (see ``sampling/sharded.py``):
 - the engine runs the identical draw protocol with and without the
   native kernels (the CI ``REPRO_NO_NATIVE=1`` leg re-runs this whole
   file on the pure-Python fallback);
-- budget accounting (``spent()``) agrees with ``FrontierSampler`` and
-  ``DistributedFrontierSampler`` for any ``seed_cost``, including 0;
+- the merged trace is Theorem 5.5's FS process: its statistics agree
+  with Algorithm 1 (``FrontierSampler``), and budget accounting
+  (``spent()``) agrees with both FS backends for any ``seed_cost``,
+  including 0;
 - checkpoints resume bit-identically, twice, from the same file;
 - :class:`ShardedSessionPool` reproduces in-process replication bit
   for bit, just fanned out across spawn workers.
@@ -26,6 +28,7 @@ checks with the fan-out on a thread pool over the in-process graph
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,9 +37,9 @@ from hypothesis import strategies as st
 
 from repro.generators.ba import barabasi_albert
 from repro.graph.csr import get_csr
+from repro.graph.graph import Graph
 from repro.graph.io import load_csr_npy, save_csr_npy
 from repro.sampling import (
-    DistributedFrontierSampler,
     FrontierSampler,
     MetropolisHastingsWalk,
     MultipleRandomWalk,
@@ -79,6 +82,20 @@ def assert_traces_equal(a, b):
     assert a.initial_vertices == b.initial_vertices
 
 
+class TestValidation:
+    def test_dimension_positive(self):
+        with pytest.raises(ValueError, match="dimension"):
+            ShardedFrontierSampler(0)
+
+    def test_bad_seeding(self):
+        with pytest.raises(ValueError, match="seeding"):
+            ShardedFrontierSampler(2, seeding="nope")
+
+    def test_negative_seed_cost(self):
+        with pytest.raises(ValueError, match="seed_cost"):
+            ShardedFrontierSampler(2, seed_cost=-1)
+
+
 class TestMergedTraceContract:
     def test_trace_is_time_ordered_and_walker_consistent(self, graph):
         trace = inline_sampler(6).sample(graph, 200, rng=7)
@@ -99,6 +116,23 @@ class TestMergedTraceContract:
     def test_every_walker_index_jumps_eventually(self, graph):
         trace = inline_sampler(4).sample(graph, 400, rng=3)
         assert set(trace.step_walkers.tolist()) == {0, 1, 2, 3}
+
+    def test_edges_are_real(self, house):
+        trace = inline_sampler(3).sample(house, 150, rng=1)
+        assert trace.num_steps == 147
+        for u, v in trace.edges:
+            assert house.has_edge(u, v)
+
+    def test_per_walker_paths(self, house):
+        trace = inline_sampler(4).sample(house, 150, rng=2)
+        assert len(trace.per_walker) == 4
+        assert sum(map(len, trace.per_walker)) == trace.num_steps
+        for seed, edges in zip(trace.initial_vertices, trace.per_walker):
+            if not edges:
+                continue
+            assert edges[0][0] == seed
+            for (_u1, v1), (u2, _) in zip(edges, edges[1:]):
+                assert v1 == u2
 
     def test_invalid_procs_rejected(self, graph):
         with pytest.raises(ValueError, match="procs"):
@@ -165,13 +199,10 @@ class TestDeterminism:
     @pytest.mark.skipif(
         not _native.available(), reason="no native kernels to compare"
     )
-    def test_native_and_fallback_kernels_agree(self, csr):
-        fast = ShardedFrontierSampler(
-            4, procs=1, use_processes=False, native=True
-        ).sample(csr, 150, rng=13)
-        slow = ShardedFrontierSampler(
-            4, procs=1, use_processes=False, native=False
-        ).sample(csr, 150, rng=13)
+    def test_native_and_fallback_kernels_agree(self, csr, monkeypatch):
+        fast = inline_sampler(4).sample(csr, 150, rng=13)
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        slow = inline_sampler(4).sample(csr, 150, rng=13)
         assert_traces_equal(fast, slow)
 
     def test_mmap_graph_matches_in_memory(self, graph, csr, tmp_path):
@@ -234,9 +265,6 @@ class TestBudgetParity:
             FrontierSampler(
                 dimension, seed_cost=seed_cost, backend="csr"
             ).start(graph, rng=7),
-            DistributedFrontierSampler(dimension, seed_cost=seed_cost).start(
-                graph, rng=7
-            ),
             inline_sampler(dimension, seed_cost=seed_cost).start(graph, rng=7),
         ]
         expected_steps = max(0, int(budget - dimension * seed_cost))
@@ -292,12 +320,14 @@ class TestCheckpointResume:
         second.close()
 
 
-class TestDistributionalParityWithDFS:
-    def test_degree_biased_mean_matches_distributed_fs(self, graph):
-        """The merged edge sequence is FS-lawful: sampled-vertex degree
-        statistics agree with ``DistributedFrontierSampler`` (the
-        list-backend realization of the same Theorem 5.5 process)
-        across replicated fixed-seed runs."""
+class TestDistributionalParityWithFS:
+    """Theorem 5.5: the clocked walkers' embedded jump chain is the FS
+    chain, so the merged trace must agree with Algorithm 1 *in
+    distribution*."""
+
+    def test_degree_biased_mean_matches_algorithm_1(self, graph):
+        """Sampled-vertex degree statistics agree with
+        ``FrontierSampler`` across replicated fixed-seed runs."""
         degrees = np.asarray(graph.degrees(), dtype=np.float64)
 
         def biased_mean(traces):
@@ -310,14 +340,63 @@ class TestDistributionalParityWithDFS:
             inline_sampler(6).sample(graph, 300, rng=child_rng(1, run))
             for run in range(15)
         ]
-        distributed = [
-            DistributedFrontierSampler(6).sample(
+        algorithm_1 = [
+            FrontierSampler(6, backend="csr").sample(
                 graph, 300, rng=child_rng(2, run)
             )
             for run in range(15)
         ]
-        a, b = biased_mean(sharded), biased_mean(distributed)
+        a, b = biased_mean(sharded), biased_mean(algorithm_1)
         assert a == pytest.approx(b, rel=0.08), (a, b)
+
+    def test_stationary_edge_law_uniform(self, paw):
+        trace = inline_sampler(3, seeding="stationary").sample(
+            paw, 60_000, rng=3
+        )
+        counts = Counter(trace.edges)
+        expected = 1.0 / paw.volume()
+        for _edge, count in counts.items():
+            assert count / trace.num_steps == pytest.approx(expected, rel=0.15)
+
+    def test_walker_move_rates_match_fs(self):
+        """From pinned seeds in a frozen-degree configuration, walker i
+        jumps with long-run frequency deg(v_i)/sum(deg) under both
+        realizations."""
+        # Two disjoint stars: each walker alternates between hub degree
+        # and 1, and the symmetric pair must split the jumps evenly.
+        stars = Graph(14)
+        for leaf in range(1, 7):
+            stars.add_edge(0, leaf)  # hub 0, degree 6
+        for leaf in range(8, 14):
+            stars.add_edge(7, leaf)  # hub 7, degree 6
+        steps = 30_000
+        fs_trace = FrontierSampler(2).sample_from(
+            stars, [0, 7], steps, rng=11
+        )
+        sharded_trace = inline_sampler(2).sample_from(
+            stars, [0, 7], steps, rng=12
+        )
+        assert sharded_trace.initial_vertices == [0, 7]
+        fs_share = len(fs_trace.per_walker[0]) / steps
+        sharded_share = len(sharded_trace.per_walker[0]) / steps
+        assert fs_share == pytest.approx(0.5, abs=0.03)
+        assert sharded_share == pytest.approx(0.5, abs=0.03)
+
+    def test_visit_distribution_matches_fs(self, paw):
+        """Long-run vertex visit frequencies agree with Algorithm 1."""
+        steps = 40_000
+        fs = FrontierSampler(2, seeding="stationary").sample(
+            paw, steps, rng=21
+        )
+        sharded = inline_sampler(2, seeding="stationary").sample(
+            paw, steps, rng=22
+        )
+        fs_counts = Counter(v for _, v in fs.edges)
+        sharded_counts = Counter(v for _, v in sharded.edges)
+        for v in paw.vertices():
+            assert fs_counts[v] / fs.num_steps == pytest.approx(
+                sharded_counts[v] / sharded.num_steps, abs=0.02
+            )
 
 
 class TestSessionPool:
@@ -340,6 +419,8 @@ class TestSessionPool:
             reference = sampler.sample(csr, 120, rng=child_rng(9, index))
             assert trace.edges == reference.edges
             assert trace.initial_vertices == reference.initial_vertices
+            assert trace.walker_indices == reference.walker_indices
+            assert trace.budget == reference.budget
             assert trace.spent() == pytest.approx(reference.spent())
 
     def test_spawn_pool_matches_inline_pool(self, graph):
@@ -353,11 +434,6 @@ class TestSessionPool:
         for a, b in zip(inline, pooled):
             assert a.edges == b.edges
             assert a.initial_vertices == b.initial_vertices
-
-    def test_rejects_list_only_distributed_sampler(self, graph):
-        with ShardedSessionPool(graph, procs=1) as pool:
-            with pytest.raises(TypeError, match="ShardedFrontierSampler"):
-                pool.run(DistributedFrontierSampler(4), 100, runs=1)
 
     def test_rejects_nested_sharded_sampler(self, graph):
         """A sharded sampler inside the pool would nest Pools inside

@@ -5,33 +5,7 @@ from collections import Counter
 import pytest
 
 from repro.graph.graph import Graph
-from repro.sampling.single import SingleRandomWalk, random_walk
-
-
-class TestRandomWalkFunction:
-    def test_walk_length(self, house, rng):
-        edges = random_walk(house, 0, 50, rng)
-        assert len(edges) == 50
-
-    def test_walk_is_connected_path(self, house, rng):
-        edges = random_walk(house, 0, 30, rng)
-        assert edges[0][0] == 0
-        for (_u1, v1), (u2, _) in zip(edges, edges[1:]):
-            assert v1 == u2
-
-    def test_walk_uses_real_edges(self, house, rng):
-        for u, v in random_walk(house, 0, 100, rng):
-            assert house.has_edge(u, v)
-
-    def test_isolated_start_rejected(self, rng):
-        graph = Graph(2)
-        graph.add_edge(0, 1)
-        graph.add_vertex()
-        with pytest.raises(ValueError):
-            random_walk(graph, 2, 5, rng)
-
-    def test_zero_steps(self, house, rng):
-        assert random_walk(house, 0, 0, rng) == []
+from repro.sampling.single import SingleRandomWalk
 
 
 class TestSingleRandomWalk:
@@ -39,6 +13,43 @@ class TestSingleRandomWalk:
         trace = SingleRandomWalk().sample(house, 100, rng=0)
         assert trace.num_steps == 99  # one seed, unit cost
         assert trace.spent() == 100
+
+    @pytest.mark.parametrize("backend", ["list", "csr"])
+    def test_walk_length(self, house, backend):
+        session = SingleRandomWalk(backend=backend).start(
+            house, rng=0, initial_vertices=[0]
+        )
+        assert session.advance(50) == 50
+        assert len(session.trace().edges) == 50
+
+    @pytest.mark.parametrize("backend", ["list", "csr"])
+    def test_zero_steps(self, house, backend):
+        session = SingleRandomWalk(backend=backend).start(
+            house, rng=0, initial_vertices=[0]
+        )
+        assert session.advance(0) == 0
+        trace = session.trace()
+        assert trace.edges == []
+        assert trace.initial_vertices == [0]
+
+    @pytest.mark.parametrize("backend", ["list", "csr"])
+    def test_walk_is_a_path_of_real_edges(self, house, backend):
+        trace = SingleRandomWalk(backend=backend).sample(house, 60, rng=2)
+        edges = trace.edges
+        assert edges[0][0] == trace.initial_vertices[0]
+        assert all(house.has_edge(u, v) for u, v in edges)
+        for (_u1, v1), (u2, _) in zip(edges, edges[1:]):
+            assert v1 == u2
+
+    @pytest.mark.parametrize("backend", ["list", "csr"])
+    def test_isolated_start_rejected(self, backend):
+        graph = Graph(2)
+        graph.add_edge(0, 1)
+        graph.add_vertex()
+        with pytest.raises(ValueError, match="isolated"):
+            SingleRandomWalk(backend=backend).start(
+                graph, rng=0, initial_vertices=[2]
+            )
 
     def test_invalid_seeding_rejected(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,17 @@
-"""Backend parity: the csr engine's three kernel paths agree exactly.
+"""Backend parity: the csr engine's two kernel paths agree exactly.
 
 The contract under test: given the same seeded generator, SRW / MHRW /
-FS / MultipleRW traces are element-for-element identical whether the
-engine runs over a :class:`Graph`'s adjacency lists (the list-backend
-reference), over :class:`CSRGraph` arrays in pure Python, or through
-the native C kernels.  Fixed-seed golden traces pin the draw protocol
-itself against silent drift.
+FS / MultipleRW csr sessions produce element-for-element identical
+traces whether they step through the pure-Python loops over
+:class:`CSRGraph` arrays (``REPRO_NO_NATIVE=1``, the reference) or the
+native C kernels, and whether the sampler is handed a :class:`Graph`
+or its :class:`CSRGraph`.  Fixed-seed golden traces pin the draw
+protocol itself against silent drift.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -34,11 +37,20 @@ from repro.sampling.single import SingleRandomWalk
 
 NATIVE = _native.available()
 
-#: (label, native flag) for every kernel path runnable here; the
-#: engine treats a Graph input as the list-backend reference.
-KERNEL_PATHS = [("csr-python", False)] + (
-    [("csr-native", True)] if NATIVE else []
-)
+#: Every kernel path runnable here; "csr-python" is the reference.
+KERNEL_PATHS = ["csr-python"] + (["csr-native"] if NATIVE else [])
+
+
+@contextmanager
+def kernel_path(label):
+    """Run the enclosed walks on one kernel path (``REPRO_NO_NATIVE``
+    is the only switch between them)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if label == "csr-python":
+            patch.setenv("REPRO_NO_NATIVE", "1")
+        else:
+            patch.delenv("REPRO_NO_NATIVE", raising=False)
+        yield
 
 
 def disconnected_graph() -> Graph:
@@ -58,25 +70,17 @@ GRAPH_BUILDERS = {
     "disconnected": disconnected_graph,
 }
 
-SAMPLER_RUNS = {
-    "srw": lambda g, seed, native: vec.sample_single(
-        g, 200, rng=seed, native=native
+SAMPLERS = {
+    "srw": lambda: SingleRandomWalk(backend="csr"),
+    "mhrw": lambda: MetropolisHastingsWalk(backend="csr"),
+    "fs": lambda: FrontierSampler(5, backend="csr"),
+    "fs-uniform-selection": lambda: FrontierSampler(
+        5, walker_selection="uniform", backend="csr"
     ),
-    "mhrw": lambda g, seed, native: vec.sample_metropolis(
-        g, 200, rng=seed, native=native
+    "fs-stationary": lambda: FrontierSampler(
+        5, seeding="stationary", backend="csr"
     ),
-    "fs": lambda g, seed, native: vec.sample_frontier(
-        g, 5, 200, rng=seed, native=native
-    ),
-    "fs-uniform-selection": lambda g, seed, native: vec.sample_frontier(
-        g, 5, 200, walker_selection="uniform", rng=seed, native=native
-    ),
-    "fs-stationary": lambda g, seed, native: vec.sample_frontier(
-        g, 5, 200, seeding="stationary", rng=seed, native=native
-    ),
-    "multiple": lambda g, seed, native: vec.sample_multiple(
-        g, 6, 200, rng=seed, native=native
-    ),
+    "multiple": lambda: MultipleRandomWalk(6, backend="csr"),
 }
 
 
@@ -91,28 +95,32 @@ def assert_traces_identical(reference, other):
 
 class TestKernelParity:
     @pytest.mark.parametrize("graph_name", sorted(GRAPH_BUILDERS))
-    @pytest.mark.parametrize("sampler_name", sorted(SAMPLER_RUNS))
-    def test_csr_trace_identical_to_list_reference(
-        self, graph_name, sampler_name
-    ):
+    @pytest.mark.parametrize("sampler_name", sorted(SAMPLERS))
+    def test_kernel_paths_trace_identical(self, graph_name, sampler_name):
         graph = GRAPH_BUILDERS[graph_name]()
         csr = get_csr(graph)
-        run = SAMPLER_RUNS[sampler_name]
-        reference = run(graph, 42, False)  # list-backend reference
-        for _label, native in KERNEL_PATHS:
-            trace = run(csr, 42, native)
+        sampler = SAMPLERS[sampler_name]()
+        with kernel_path("csr-python"):
+            reference = sampler.sample(graph, 200, rng=42)
+        for label in KERNEL_PATHS:
+            with kernel_path(label):
+                trace = sampler.sample(csr, 200, rng=42)
             assert_traces_identical(reference, trace)
 
     @pytest.mark.skipif(not NATIVE, reason="no C compiler available")
-    def test_native_actually_engaged(self):
+    def test_native_actually_engaged(self, monkeypatch):
         graph = get_csr(barabasi_albert(50, 2, rng=1))
-        trace = vec.sample_frontier(graph, 3, 100, rng=0, native=True)
-        assert trace.num_steps == 97
+        real = _native.fs_steps_acc
+        steps = []
 
-    def test_native_true_without_csr_input_raises(self):
-        graph = barabasi_albert(50, 2, rng=1)
-        with pytest.raises(ValueError, match="native"):
-            vec.sample_frontier(graph, 3, 100, rng=0, native=True)
+        def spy(*args, **kwargs):
+            steps.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(_native, "fs_steps_acc", spy)
+        trace = FrontierSampler(3, backend="csr").sample(graph, 100, rng=0)
+        assert trace.num_steps == 97
+        assert steps == [97]
 
 
 class TestFixedSeedRegression:
@@ -125,34 +133,43 @@ class TestFixedSeedRegression:
         return graph
 
     def test_fs_golden(self, house):
-        for _, native in [("ref", None)] + KERNEL_PATHS:
-            graph = house if native is None else get_csr(house)
-            trace = vec.sample_frontier(
-                graph, 2, 14, rng=123, native=bool(native)
-            )
-            assert trace.initial_vertices == [3, 0]
-            assert trace.edges == [
-                (3, 4), (4, 3), (3, 2), (0, 4), (4, 0), (2, 3),
-                (0, 2), (2, 0), (0, 1), (3, 2), (1, 2), (2, 3),
-            ]
-            assert trace.walker_indices == [
-                0, 0, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0,
-            ]
+        for label in KERNEL_PATHS:
+            for graph in (house, get_csr(house)):
+                with kernel_path(label):
+                    trace = FrontierSampler(2, backend="csr").sample(
+                        graph, 14, rng=123
+                    )
+                assert trace.initial_vertices == [3, 0]
+                assert trace.edges == [
+                    (3, 4), (4, 3), (3, 2), (0, 4), (4, 0), (2, 3),
+                    (0, 2), (2, 0), (0, 1), (3, 2), (1, 2), (2, 3),
+                ]
+                assert trace.walker_indices == [
+                    0, 0, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0,
+                ]
 
     def test_srw_golden(self, house):
-        trace = vec.sample_single(house, 8, rng=7, native=False)
-        assert trace.initial_vertices == [3]
-        assert trace.edges == [
-            (3, 4), (4, 0), (0, 1), (1, 0), (0, 2), (2, 1), (1, 2),
-        ]
+        for label in KERNEL_PATHS:
+            with kernel_path(label):
+                trace = SingleRandomWalk(backend="csr").sample(
+                    house, 8, rng=7
+                )
+            assert trace.initial_vertices == [3]
+            assert trace.edges == [
+                (3, 4), (4, 0), (0, 1), (1, 0), (0, 2), (2, 1), (1, 2),
+            ]
 
     def test_mhrw_golden(self, house):
-        trace = vec.sample_metropolis(house, 8, rng=11, native=False)
-        assert trace.initial_vertices == [0]
-        assert trace.edges == [
-            (0, 4), (4, 3), (3, 4), (4, 3), (3, 4), (4, 0), (0, 1),
-        ]
-        assert trace.visited == [4, 3, 4, 3, 4, 0, 1]
+        for label in KERNEL_PATHS:
+            with kernel_path(label):
+                trace = MetropolisHastingsWalk(backend="csr").sample(
+                    house, 8, rng=11
+                )
+            assert trace.initial_vertices == [0]
+            assert trace.edges == [
+                (0, 4), (4, 3), (3, 4), (4, 3), (3, 4), (4, 0), (0, 1),
+            ]
+            assert trace.visited == [4, 3, 4, 3, 4, 0, 1]
 
 
 class TestHypothesisParity:
@@ -171,13 +188,12 @@ class TestHypothesisParity:
         if graph.num_edges == 0:
             return
         csr = get_csr(graph)
-        reference = vec.sample_frontier(
-            graph, dimension, 120, rng=walk_seed, native=False
-        )
-        for _, native in KERNEL_PATHS:
-            trace = vec.sample_frontier(
-                csr, dimension, 120, rng=walk_seed, native=native
-            )
+        sampler = FrontierSampler(dimension, backend="csr")
+        with kernel_path("csr-python"):
+            reference = sampler.sample(graph, 120, rng=walk_seed)
+        for label in KERNEL_PATHS:
+            with kernel_path(label):
+                trace = sampler.sample(csr, 120, rng=walk_seed)
             assert_traces_identical(reference, trace)
 
     @settings(max_examples=15, deadline=None)
@@ -190,12 +206,16 @@ class TestHypothesisParity:
     ):
         graph = barabasi_albert(40, 2, rng=graph_seed)
         csr = get_csr(graph)
-        for run in (vec.sample_single, vec.sample_metropolis):
-            reference = run(graph, 150, rng=walk_seed, native=False)
-            for _, native in KERNEL_PATHS:
-                assert_traces_identical(
-                    reference, run(csr, 150, rng=walk_seed, native=native)
-                )
+        for sampler in (
+            SingleRandomWalk(backend="csr"),
+            MetropolisHastingsWalk(backend="csr"),
+        ):
+            with kernel_path("csr-python"):
+                reference = sampler.sample(graph, 150, rng=walk_seed)
+            for label in KERNEL_PATHS:
+                with kernel_path(label):
+                    trace = sampler.sample(csr, 150, rng=walk_seed)
+                assert_traces_identical(reference, trace)
 
 
 class TestSeeding:
@@ -235,7 +255,7 @@ class TestSeeding:
 class TestArrayTraces:
     def test_lazy_views_consistent(self):
         graph = get_csr(barabasi_albert(60, 2, rng=4))
-        trace = vec.sample_frontier(graph, 4, 300, rng=9)
+        trace = FrontierSampler(4, backend="csr").sample(graph, 300, rng=9)
         assert trace.num_steps == 296
         assert len(trace.edges) == 296
         assert trace.visited_vertices == [v for _, v in trace.edges]
@@ -254,21 +274,11 @@ class TestArrayTraces:
 
     def test_multiple_per_walker_blocks(self):
         graph = get_csr(barabasi_albert(60, 2, rng=4))
-        trace = vec.sample_multiple(graph, 5, 200, rng=2)
+        trace = MultipleRandomWalk(5, backend="csr").sample(graph, 200, rng=2)
         steps_each = int(200 / 5 - 1)
         assert [len(block) for block in trace.per_walker] == [steps_each] * 5
         for start, block in zip(trace.initial_vertices, trace.per_walker):
             assert block[0][0] == start
-
-    def test_batch_walk_positions(self):
-        graph = barabasi_albert(80, 2, rng=6)
-        history = vec.batch_walk_positions(graph, [0, 1, 2], 25, rng=0)
-        assert history.shape == (26, 3)
-        for step in range(25):
-            for walker in range(3):
-                assert graph.has_edge(
-                    int(history[step, walker]), int(history[step + 1, walker])
-                )
 
 
 class TestSamplerBackendSwitch:
@@ -330,8 +340,8 @@ class TestSamplerBackendSwitch:
     def test_interpreted_list_backend_uses_a_different_stream(self, graph):
         """The parity guarantee's boundary, pinned as a test.
 
-        Bit-for-bit parity holds *within* the csr engine (adjacency
-        reference vs CSR-python vs CSR-native).  The interpreted list
+        Bit-for-bit parity holds *within* the csr engine (CSR-python
+        vs CSR-native).  The interpreted list
         backend draws from ``random.Random`` and is statistically — not
         element-wise — equivalent for the same seed; if these ever
         collide, a protocol change has silently aliased the streams.
