@@ -71,9 +71,10 @@ from repro.estimators.streaming import (
 from repro.experiments.engine import ExperimentPlan, run_plan
 from repro.sampling.fused import merge_needs
 from repro.generators.ba import barabasi_albert
-from repro.generators.er import erdos_renyi_gnm
+from repro.generators.er import erdos_renyi_gnm, gnm_edges
 from repro.generators.smallworld import watts_strogatz
 from repro.graph.components import largest_connected_component
+from repro.graph.csr import CSRGraph
 from repro.metrics.errors import nmse, nmse_curve, relative_bias
 from repro.metrics.exact import true_degree_ccdf, true_degree_pmf
 
@@ -116,12 +117,16 @@ def _family_er(size: int, kwargs: Mapping[str, Any], seed: int):
     num_edges = max(
         size - 1, round(size * float(kwargs.get("avg_degree", 6.0)) / 2)
     )
-    graph = erdos_renyi_gnm(size, num_edges, rng=seed)
-    if kwargs.get("lcc", True):
-        # Walkers cannot launch from isolated vertices; like the
-        # figure drivers, ER scenarios walk the LCC unless the spec
-        # opts out (FS tolerates dust, SRW/MHRW seeds do not).
-        graph, _ = largest_connected_component(graph)
+    if not kwargs.get("lcc", True):
+        return erdos_renyi_gnm(size, num_edges, rng=seed)
+    # Walkers cannot launch from isolated vertices; like the figure
+    # drivers, ER scenarios walk the LCC unless the spec opts out (FS
+    # tolerates dust, SRW/MHRW seeds do not).  The LCC is cut from the
+    # G(n, m) edges as a CSR, so the full graph never becomes lists.
+    heads, tails = gnm_edges(size, num_edges, rng=seed)
+    graph, _ = largest_connected_component(
+        CSRGraph.from_edge_sequence(heads, tails, size)
+    )
     return graph
 
 

@@ -7,6 +7,9 @@ where ``k`` is the number of edges each arriving vertex brings.
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.graph.csr import graph_from_edge_sequence
 from repro.graph.graph import Graph
 from repro.util.rng import RngLike, ensure_rng
 
@@ -18,7 +21,8 @@ def barabasi_albert(num_vertices: int, edges_per_vertex: int, rng: RngLike = Non
     The seed graph is a star on ``edges_per_vertex + 1`` vertices, so
     the result is always connected and simple.  Preferential attachment
     is implemented with the standard repeated-endpoints list, giving
-    O(|E|) expected construction time.
+    O(|E|) expected construction time; the graph is then built from
+    that list in one bulk pass, as the ``add_edge`` calls would.
     """
     k = edges_per_vertex
     if k < 1:
@@ -28,13 +32,14 @@ def barabasi_albert(num_vertices: int, edges_per_vertex: int, rng: RngLike = Non
             f"need at least edges_per_vertex + 1 = {k + 1} vertices,"
             f" got {num_vertices}"
         )
-    generator = ensure_rng(rng)
-    graph = Graph(num_vertices)
+    randrange = ensure_rng(rng).randrange
 
+    # Each endpoint appears once per incident edge, and each edge
+    # appends its (head, tail) pair in add_edge order, so this list is
+    # also the edge sequence the graph is built from.
+    endpoints = []
     # Seed: star centered at vertex 0 over vertices 0..k.
-    endpoints = []  # each endpoint appears once per incident edge
     for v in range(1, k + 1):
-        graph.add_edge(0, v)
         endpoints.append(0)
         endpoints.append(v)
 
@@ -42,9 +47,9 @@ def barabasi_albert(num_vertices: int, edges_per_vertex: int, rng: RngLike = Non
         targets = set()
         # Rejection-sample k distinct existing vertices, degree-biased.
         while len(targets) < k:
-            targets.add(endpoints[generator.randrange(len(endpoints))])
+            targets.add(endpoints[randrange(len(endpoints))])
         for target in targets:
-            graph.add_edge(new_vertex, target)
             endpoints.append(new_vertex)
             endpoints.append(target)
-    return graph
+    ends = np.array(endpoints, dtype=np.int64)
+    return graph_from_edge_sequence(ends[0::2], ends[1::2], num_vertices)

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import math
+from array import array
+from typing import Tuple
 
+import numpy as np
+
+from repro.graph.csr import graph_from_edge_sequence
 from repro.graph.graph import Graph
 from repro.util.rng import RngLike, ensure_rng
 
@@ -40,20 +45,37 @@ def erdos_renyi_gnp(num_vertices: int, p: float, rng: RngLike = None) -> Graph:
     return graph
 
 
-def erdos_renyi_gnm(num_vertices: int, num_edges: int, rng: RngLike = None) -> Graph:
-    """G(n, m): exactly ``num_edges`` distinct edges, uniform over sets."""
+def gnm_edges(
+    num_vertices: int, num_edges: int, rng: RngLike = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The G(n, m) edge sequence: ``(heads, tails)`` of ``num_edges``
+    distinct edges in draw order, uniform over edge sets.
+
+    Each edge is a pair of ``randrange`` draws; loops and repeats are
+    drawn again.
+    """
     max_edges = num_vertices * (num_vertices - 1) // 2
     if num_edges < 0 or num_edges > max_edges:
         raise ValueError(
             f"num_edges must be in [0, {max_edges}] for n={num_vertices},"
             f" got {num_edges}"
         )
-    generator = ensure_rng(rng)
-    graph = Graph(num_vertices)
-    added = 0
-    while added < num_edges:
-        u = generator.randrange(num_vertices)
-        v = generator.randrange(num_vertices)
-        if u != v and graph.add_edge(u, v):
-            added += 1
-    return graph
+    randrange = ensure_rng(rng).randrange
+    heads = array("q")
+    tails = array("q")
+    seen = set()
+    while len(seen) < num_edges:
+        u = randrange(num_vertices)
+        v = randrange(num_vertices)
+        key = u * num_vertices + v if u < v else v * num_vertices + u
+        if u != v and key not in seen:
+            seen.add(key)
+            heads.append(u)
+            tails.append(v)
+    return np.frombuffer(heads, dtype=np.int64), np.frombuffer(tails, dtype=np.int64)
+
+
+def erdos_renyi_gnm(num_vertices: int, num_edges: int, rng: RngLike = None) -> Graph:
+    """G(n, m): exactly ``num_edges`` distinct edges, uniform over sets."""
+    heads, tails = gnm_edges(num_vertices, num_edges, rng)
+    return graph_from_edge_sequence(heads, tails, num_vertices)

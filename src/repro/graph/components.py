@@ -2,16 +2,47 @@
 
 The paper's datasets are disconnected (Table 1 reports LCC sizes), and
 several experiments restrict the walk to the largest connected
-component.  Components are found with an iterative BFS so very deep
-graphs cannot overflow the recursion limit.
+component.  Components are labeled on the CSR arrays by min-label
+hooking with pointer jumping, so each component is named by its
+smallest vertex and no Python loop visits a vertex or an edge.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple, Union
 
+import numpy as np
+
+from repro.graph.csr import CSRGraph, get_csr, induced_graph
 from repro.graph.graph import Graph
+
+
+def _component_labels(csr: CSRGraph) -> np.ndarray:
+    """Per vertex, the smallest vertex id of its component."""
+    labels = np.arange(csr.num_vertices, dtype=np.int64)
+    walkable = np.flatnonzero(np.diff(csr.indptr))
+    starts = csr.indptr[walkable]
+    while True:
+        # Hook: the root each vertex points at adopts the smallest label
+        # among its neighbors.
+        smallest = np.minimum.reduceat(labels[csr.indices], starts)
+        before = labels.copy()
+        np.minimum.at(labels, labels[walkable], smallest)
+        # Jump: point every vertex straight at its root.
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if np.array_equal(labels, before):
+            return labels
+
+
+def _ranked_labels(labels: np.ndarray) -> np.ndarray:
+    """Component labels largest first, ties by smallest vertex."""
+    sizes = np.bincount(labels, minlength=labels.size)
+    roots = np.flatnonzero(sizes)
+    return roots[np.argsort(-sizes[roots], kind="stable")]
 
 
 def connected_components(graph: Graph) -> List[List[int]]:
@@ -20,25 +51,15 @@ def connected_components(graph: Graph) -> List[List[int]]:
     Components are returned largest-first (ties broken by smallest
     contained vertex id) so ``components[0]`` is always the LCC.
     """
-    seen = [False] * graph.num_vertices
-    components: List[List[int]] = []
-    for start in graph.vertices():
-        if seen[start]:
-            continue
-        seen[start] = True
-        component = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in graph.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    component.append(v)
-                    queue.append(v)
-        component.sort()
-        components.append(component)
-    components.sort(key=lambda c: (-len(c), c[0]))
-    return components
+    labels = _component_labels(get_csr(graph))
+    by_label = np.argsort(labels, kind="stable")
+    bounds = np.zeros(labels.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(labels, minlength=labels.size), out=bounds[1:])
+    members = by_label.tolist()
+    return [
+        members[bounds[root] : bounds[root + 1]]
+        for root in _ranked_labels(labels).tolist()
+    ]
 
 
 def is_connected(graph: Graph) -> bool:
@@ -61,23 +82,33 @@ def induced_subgraph(
     endpoints inside the vertex set are kept.
     """
     vertex_list = sorted(set(vertices))
-    old_to_new = {old: new for new, old in enumerate(vertex_list)}
-    sub = Graph(len(vertex_list))
-    for old in vertex_list:
-        for nbr in graph.neighbors(old):
-            if nbr in old_to_new and old < nbr:
-                sub.add_edge(old_to_new[old], old_to_new[nbr])
-    return sub, old_to_new
+    n = graph.num_vertices
+    if vertex_list and not (0 <= vertex_list[0] and vertex_list[-1] < n):
+        bad = vertex_list[0] if vertex_list[0] < 0 else vertex_list[-1]
+        raise IndexError(f"vertex {bad} out of range [0, {n})")
+    keep = np.zeros(n, dtype=bool)
+    keep[vertex_list] = True
+    return _induced(get_csr(graph), keep)
+
+
+def _induced(csr: CSRGraph, keep: np.ndarray) -> Tuple[Graph, Dict[int, int]]:
+    old = np.flatnonzero(keep).tolist()
+    return induced_graph(csr, keep), dict(zip(old, range(len(old))))
 
 
 def largest_connected_component(
-    graph: Graph,
+    graph: Union[Graph, CSRGraph],
 ) -> Tuple[Graph, Dict[int, int]]:
-    """The LCC as an induced subgraph plus the old->new vertex map."""
+    """The LCC as an induced subgraph plus the old->new vertex map.
+
+    A :class:`CSRGraph` input is labeled and cut on its arrays directly;
+    the result is always a :class:`Graph`.
+    """
     if graph.num_vertices == 0:
         raise ValueError("the empty graph has no components")
-    components = connected_components(graph)
-    return induced_subgraph(graph, components[0])
+    csr = get_csr(graph)
+    labels = _component_labels(csr)
+    return _induced(csr, labels == _ranked_labels(labels)[0])
 
 
 def component_sizes(graph: Graph) -> List[int]:

@@ -20,7 +20,10 @@ available.
 
 ``from_graph`` preserves the adjacency-list neighbor *order*, which is
 what makes list-backend and csr-backend walks bit-for-bit comparable
-under a shared random stream.
+under a shared random stream.  :func:`graph_from_edge_sequence` runs the
+other way in bulk: it turns an edge sequence into the rows sequential
+``Graph.add_edge`` calls would build, and hands back a :class:`Graph`
+over those rows with the CSR already attached.
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ class CSRGraph:
         # The O(n + |E|) content scans are skippable for trusted input:
         # mmap'd loads of files this library wrote would otherwise page
         # the entire indices file in before the first walk step.
+        # The library's own constructors build symmetric, in-range
+        # arrays and pass validate=False.
         if validate:
             if np.any(np.diff(indptr) < 0):
                 raise ValueError("indptr must be non-decreasing")
@@ -74,6 +79,7 @@ class CSRGraph:
                 indices.min() < 0 or indices.max() >= indptr.size - 1
             ):
                 raise ValueError("indices contain out-of-range vertex ids")
+            _check_symmetric(indptr, indices)
         self.indptr = indptr
         self.indices = indices
         #: Lazily cached plain-list views for the pure-Python fallback
@@ -107,7 +113,38 @@ class CSRGraph:
         for row in adjacency:
             indices[position : position + len(row)] = row
             position += len(row)
-        return cls(indptr, indices)
+        return cls(indptr, indices, validate=False)
+
+    @classmethod
+    def from_edge_sequence(
+        cls, heads: np.ndarray, tails: np.ndarray, num_vertices: int
+    ) -> "CSRGraph":
+        """The rows ``add_edge(heads[i], tails[i])`` for ``i = 0, 1, ...``
+        would build on an empty ``Graph(num_vertices)``.
+
+        The edges must be distinct; self-loops and out-of-range ids
+        raise.  ``add_edge`` appends ``tails[i]`` to row ``heads[i]`` and
+        ``heads[i]`` to row ``tails[i]``, so one stable sort of the
+        interleaved half-edges by source vertex lays every row out in
+        insertion order.
+        """
+        heads = np.asarray(heads, dtype=np.int64)
+        tails = np.asarray(tails, dtype=np.int64)
+        if heads.ndim != 1 or heads.shape != tails.shape:
+            raise ValueError("heads and tails must be 1-D arrays of equal length")
+        if heads.size and (
+            min(heads.min(), tails.min()) < 0
+            or max(heads.max(), tails.max()) >= num_vertices
+        ):
+            raise IndexError(f"edge endpoint out of range [0, {num_vertices})")
+        if np.any(heads == tails):
+            loop = int(heads[np.argmax(heads == tails)])
+            raise ValueError(f"self-loops are not allowed (vertex {loop})")
+        ends = np.column_stack((heads, tails)).ravel()
+        others = np.column_stack((tails, heads)).ravel()
+        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=num_vertices), out=indptr[1:])
+        return cls(indptr, others[np.argsort(ends, kind="stable")], validate=False)
 
     @classmethod
     def from_edges(
@@ -160,17 +197,16 @@ class CSRGraph:
         counts = np.bincount(src, minlength=n) if n else np.zeros(0, np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, dst[order])
+        return cls(indptr, dst[order], validate=False)
 
     def to_graph(self) -> Graph:
-        """Expand back into an adjacency-list :class:`Graph`."""
-        graph = Graph(self.num_vertices)
-        indptr, indices = self.indptr, self.indices
-        for u in range(self.num_vertices):
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if u < v:
-                    graph.add_edge(u, int(v))
-        return graph
+        """Expand back into an adjacency-list :class:`Graph`.
+
+        Neighbor order is that of inserting each edge ``u < v`` in
+        row-major order; self-loops are skipped and repeated neighbors
+        collapse.
+        """
+        return induced_graph(self, None)
 
     # ------------------------------------------------------------------
     # queries
@@ -251,24 +287,6 @@ class CSRGraph:
             raise ValueError(f"vertex {v} has no neighbors to walk to")
         return int(self.indices[self.indptr[v] + rng.integers(0, degree)])
 
-    def random_neighbors(
-        self, vertices: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One uniform neighbor per vertex, drawn for the whole batch.
-
-        ``rng.integers`` into each row slice, vectorized: this is the
-        primitive the batch engine uses to advance many independent
-        walkers in lockstep.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        starts = self.indptr[vertices]
-        degrees = self.indptr[vertices + 1] - starts
-        if np.any(degrees == 0):
-            bad = int(vertices[np.argmax(degrees == 0)])
-            raise ValueError(f"vertex {bad} has no neighbors to walk to")
-        offsets = rng.integers(0, degrees)
-        return self.indices[starts + offsets]
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -289,6 +307,80 @@ class CSRGraph:
             raise IndexError(
                 f"vertex {v} out of range [0, {self.num_vertices})"
             )
+
+
+def _check_symmetric(indptr: np.ndarray, indices: np.ndarray) -> None:
+    """Raise unless every ``(u, v)`` occurs as often as ``(v, u)``."""
+    n = indptr.size - 1
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    forward = np.sort(rows * n + indices)
+    backward = np.sort(indices * n + rows)
+    differ = np.flatnonzero(forward != backward)
+    if differ.size == 0:
+        return
+    # Below the first difference both multisets agree, so the smaller
+    # key there occurs more often on its own side than on the other.
+    f, b = int(forward[differ[0]]), int(backward[differ[0]])
+    if f < b:
+        u, v = divmod(f, n)
+    else:
+        v, u = divmod(b, n)
+
+    def count(keys: np.ndarray, key: int) -> int:
+        return int(np.searchsorted(keys, key, "right") - np.searchsorted(keys, key))
+
+    raise ValueError(
+        f"CSR is not symmetric: ({u}, {v}) occurs {count(forward, u * n + v)}"
+        f" time(s) but ({v}, {u}) {count(forward, v * n + u)}"
+    )
+
+
+def graph_from_edge_sequence(
+    heads: np.ndarray, tails: np.ndarray, num_vertices: int
+) -> Graph:
+    """The :class:`Graph` that ``add_edge(heads[i], tails[i])`` for
+    ``i = 0, 1, ...`` builds on ``Graph(num_vertices)``, in bulk.
+
+    Same neighbor lists, same ``version``, and
+    :meth:`CSRGraph.from_edge_sequence` attached as the :func:`get_csr`
+    cache.  The edges must be distinct.  Every adjacency list refers to
+    one shared int object per vertex id, and the membership sets are
+    built on first use, so the graph costs little more than its rows.
+    """
+    csr = CSRGraph.from_edge_sequence(heads, tails, num_vertices)
+    flat = np.arange(num_vertices, dtype=object)[csr.indices].tolist()
+    bounds = csr.indptr.tolist()
+    graph = Graph._from_adjacency(
+        [flat[start:stop] for start, stop in zip(bounds, bounds[1:])],
+        csr.num_edges,
+    )
+    graph._csr_cache = (graph.version, csr)
+    return graph
+
+
+def induced_graph(csr: CSRGraph, keep: Optional[np.ndarray]) -> Graph:
+    """The :class:`Graph` induced by the vertices where ``keep`` is true
+    (all vertices for ``None``), relabeled densely in id order.
+
+    Built as the loop ``for u in kept: for v in row(u): if u < v and v
+    kept: add_edge(new[u], new[v])`` would build it, in one bulk pass.
+    """
+    size = csr.num_vertices
+    rows = np.repeat(np.arange(size, dtype=np.int64), np.diff(csr.indptr))
+    inside = rows < csr.indices
+    if keep is not None:
+        inside &= keep[rows] & keep[csr.indices]
+    heads, tails = rows[inside], csr.indices[inside]
+    if keep is not None:
+        size = int(np.count_nonzero(keep))
+        new_id = np.cumsum(keep, dtype=np.int64) - 1
+        heads, tails = new_id[heads], new_id[tails]
+    # add_edge keeps the first copy of a repeated neighbor.
+    _, first = np.unique(heads * size + tails, return_index=True)
+    if first.size < heads.size:
+        first.sort()
+        heads, tails = heads[first], tails[first]
+    return graph_from_edge_sequence(heads, tails, size)
 
 
 def get_csr(graph: Union[Graph, CSRGraph]) -> CSRGraph:

@@ -23,14 +23,16 @@ class Graph:
     to one.  The class maintains, per vertex, both an adjacency *list*
     (for O(1) uniform neighbor draws) and an adjacency *set* (for O(1)
     membership tests), trading memory for the query mix the samplers
-    need.
+    need.  The sets are built from the lists on the first membership
+    query or mutation, so a bulk-built graph that is only walked never
+    pays for them.
     """
 
     def __init__(self, num_vertices: int = 0):
         if num_vertices < 0:
             raise ValueError(f"num_vertices must be >= 0, got {num_vertices}")
         self._adj: List[List[int]] = [[] for _ in range(num_vertices)]
-        self._adj_sets: List[Set[int]] = [set() for _ in range(num_vertices)]
+        self._adj_sets: Optional[List[Set[int]]] = None
         self._num_edges = 0
         # Monotone mutation counter; lets derived representations
         # (e.g. the cached CSR conversion) detect staleness cheaply.
@@ -58,10 +60,33 @@ class Graph:
             graph.add_edge(u, v)
         return graph
 
+    @classmethod
+    def _from_adjacency(cls, adjacency: List[List[int]], num_edges: int) -> "Graph":
+        """Adopt finished adjacency lists (symmetric, simple, loop-free).
+
+        The result is indistinguishable from ``Graph(len(adjacency))``
+        followed by ``num_edges`` successful ``add_edge`` calls that
+        produced these lists, version counter included.
+        """
+        graph = cls()
+        graph._adj = adjacency
+        graph._num_edges = num_edges
+        graph._version = num_edges
+        return graph
+
+    def _sets(self) -> List[Set[int]]:
+        # Threads that race on the first call each build equal sets;
+        # the last assignment wins.
+        sets = self._adj_sets
+        if sets is None:
+            sets = self._adj_sets = [set(nbrs) for nbrs in self._adj]
+        return sets
+
     def add_vertex(self) -> int:
         """Append an isolated vertex; returns its id."""
         self._adj.append([])
-        self._adj_sets.append(set())
+        if self._adj_sets is not None:
+            self._adj_sets.append(set())
         self._version += 1
         return len(self._adj) - 1
 
@@ -82,12 +107,13 @@ class Graph:
         self._check_vertex(v)
         if u == v:
             raise ValueError(f"self-loops are not allowed (vertex {u})")
-        if v in self._adj_sets[u]:
+        sets = self._sets()
+        if v in sets[u]:
             return False
         self._adj[u].append(v)
         self._adj[v].append(u)
-        self._adj_sets[u].add(v)
-        self._adj_sets[v].add(u)
+        sets[u].add(v)
+        sets[v].add(u)
         self._num_edges += 1
         self._version += 1
         return True
@@ -98,12 +124,13 @@ class Graph:
         """
         self._check_vertex(u)
         self._check_vertex(v)
-        if v not in self._adj_sets[u]:
+        sets = self._sets()
+        if v not in sets[u]:
             return False
         self._adj[u].remove(v)
         self._adj[v].remove(u)
-        self._adj_sets[u].discard(v)
-        self._adj_sets[v].discard(u)
+        sets[u].discard(v)
+        sets[v].discard(u)
         self._num_edges -= 1
         self._version += 1
         return True
@@ -144,12 +171,12 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._adj_sets[u]
+        return v in self._sets()[u]
 
     def neighbor_set(self, v: int) -> Set[int]:
         """Neighbors of ``v`` as a set (do not mutate)."""
         self._check_vertex(v)
-        return self._adj_sets[v]
+        return self._sets()[v]
 
     def edges(self) -> Iterator[Edge]:
         """Iterate each undirected edge once, as ``(min, max)`` pairs."""

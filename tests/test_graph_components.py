@@ -1,10 +1,13 @@
 """Tests for connected components, checked against networkx as oracle."""
 
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.generators.er import erdos_renyi_gnm
 from repro.graph.components import (
     component_sizes,
     connected_components,
@@ -12,6 +15,7 @@ from repro.graph.components import (
     is_connected,
     largest_connected_component,
 )
+from repro.graph.csr import get_csr
 from repro.graph.graph import Graph
 
 
@@ -144,3 +148,113 @@ def test_is_connected_matches_networkx(graph):
     if graph.num_vertices == 0:
         return
     assert is_connected(graph) == nx.is_connected(oracle_graph)
+
+
+def _networkx_components(graph: Graph):
+    """networkx's components in this module's order: largest first,
+    ties by smallest vertex, each sorted."""
+    components = [sorted(c) for c in nx.connected_components(_to_networkx(graph))]
+    return sorted(components, key=lambda c: (-len(c), c[0]))
+
+
+@given(graph=random_graphs())
+@settings(max_examples=100)
+def test_component_order_and_lcc_match_networkx(graph):
+    expected = _networkx_components(graph)
+    assert connected_components(graph) == expected
+    assert component_sizes(graph) == [len(c) for c in expected]
+    lcc, mapping = largest_connected_component(graph)
+    assert sorted(mapping) == expected[0]
+    assert lcc.num_vertices == len(expected[0])
+
+
+class TestComponentEdgeCases:
+    def test_equal_sizes_pick_the_smallest_vertex(self):
+        # The component inserted first does not hold the smallest vertex.
+        graph = Graph(7)
+        for u, v in [(6, 5), (5, 4), (3, 2), (2, 1)]:
+            graph.add_edge(u, v)
+        assert connected_components(graph) == [[1, 2, 3], [4, 5, 6], [0]]
+        lcc, mapping = largest_connected_component(graph)
+        assert mapping == {1: 0, 2: 1, 3: 2}
+        assert [list(lcc.neighbors(v)) for v in lcc.vertices()] == [[1], [0, 2], [1]]
+
+    def test_isolated_vertices_in_id_order(self):
+        graph = Graph(6)
+        graph.add_edge(4, 2)
+        assert connected_components(graph) == [[2, 4], [0], [1], [3], [5]]
+        assert component_sizes(graph) == [2, 1, 1, 1, 1]
+        lcc, mapping = largest_connected_component(graph)
+        assert mapping == {2: 0, 4: 1}
+        assert list(lcc.neighbors(0)) == [1]
+
+    def test_edgeless_graph(self):
+        graph = Graph(3)
+        assert connected_components(graph) == [[0], [1], [2]]
+        assert not is_connected(graph)
+        lcc, mapping = largest_connected_component(graph)
+        assert (lcc.num_vertices, lcc.num_edges, mapping) == (1, 0, {0: 0})
+
+    def test_fifty_thousand_pairs(self):
+        n = 100_000
+        order = list(range(n))
+        random.Random(5).shuffle(order)
+        graph = Graph(n)
+        for i in range(0, n, 2):
+            graph.add_edge(order[i], order[i + 1])
+        expected = _networkx_components(graph)
+        assert len(expected) == 50_000
+        assert connected_components(graph) == expected
+        lcc, mapping = largest_connected_component(graph)
+        assert sorted(mapping) == expected[0]
+        assert lcc.num_edges == 1
+
+    def test_long_shuffled_path(self):
+        # Worst case for label propagation: diameter n - 1, ids random.
+        n = 5000
+        order = list(range(n))
+        random.Random(9).shuffle(order)
+        graph = Graph(n)
+        for a, b in zip(order, order[1:]):
+            graph.add_edge(a, b)
+        assert is_connected(graph)
+        assert connected_components(graph) == [list(range(n))]
+
+
+class TestCsrInput:
+    def test_lcc_of_csr_equals_lcc_of_graph(self):
+        graph = erdos_renyi_gnm(400, 300, rng=3)
+        lcc, mapping = largest_connected_component(graph)
+        from_csr, csr_mapping = largest_connected_component(get_csr(graph))
+        assert csr_mapping == mapping
+        assert from_csr.version == lcc.version
+        for v in lcc.vertices():
+            assert list(from_csr.neighbors(v)) == list(lcc.neighbors(v))
+
+    def test_empty_csr_rejected(self):
+        with pytest.raises(ValueError):
+            largest_connected_component(get_csr(Graph()))
+
+
+class TestInducedSubgraphOrder:
+    def test_rows_follow_the_row_major_insertion_loop(self):
+        graph = Graph(5)
+        for u, v in [(4, 0), (3, 1), (0, 3), (1, 4), (2, 3)]:
+            graph.add_edge(u, v)
+        sub, mapping = induced_subgraph(graph, [0, 1, 3, 4])
+        expected = Graph(4)
+        for old in sorted(mapping):
+            for nbr in graph.neighbors(old):
+                if nbr in mapping and old < nbr:
+                    expected.add_edge(mapping[old], mapping[nbr])
+        assert [list(sub.neighbors(v)) for v in sub.vertices()] == [
+            list(expected.neighbors(v)) for v in expected.vertices()
+        ]
+        assert sub.version == expected.version
+
+    @pytest.mark.parametrize("bad", [5, 99, -1])
+    def test_out_of_range_vertex_raises(self, bad):
+        graph = Graph(5)
+        graph.add_edge(0, 1)
+        with pytest.raises(IndexError):
+            induced_subgraph(graph, [0, bad])
