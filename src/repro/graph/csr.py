@@ -28,7 +28,8 @@ over those rows with the CSR already attached.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+import ctypes
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,9 +42,21 @@ class CSRGraph:
     Immutable by design: build it from a :class:`Graph`, an edge list,
     or raw ``(indptr, indices)`` arrays.  Mutation workflows stay on
     :class:`Graph`; convert once when the crawl/generation phase ends.
+
+    Because the arrays never change, what the walk layer derives from
+    them — plain-list views, the walkable vertex ids, the native
+    kernels' array pointers — is built on first use and kept on the
+    graph.  Pickles and copies carry none of it (ctypes pointers cannot
+    be pickled), and rebuild it on demand.
     """
 
-    __slots__ = ("indptr", "indices", "_list_cache", "mmap_stem")
+    __slots__ = (
+        "indptr", "indices", "mmap_stem",
+        "_list_cache", "_walkable", "_pointers",
+    )
+
+    #: Slots holding caches derived from the arrays.
+    _DERIVED = ("_list_cache", "_walkable", "_pointers")
 
     def __init__(
         self,
@@ -82,15 +95,12 @@ class CSRGraph:
             _check_symmetric(indptr, indices)
         self.indptr = indptr
         self.indices = indices
-        #: Lazily cached plain-list views for the pure-Python fallback
-        #: kernels (Python list indexing is faster than numpy scalar
-        #: indexing in interpreted loops).
-        self._list_cache: Optional[Tuple[List[int], List[int]]] = None
         #: Stem of the ``.npy`` pair this graph was mmap'd from, if any
         #: (set by :func:`repro.graph.io.load_csr_npy`); lets worker
         #: processes reopen the same read-only buffers instead of
         #: pickling the arrays.
         self.mmap_stem: Optional[str] = None
+        self._clear_derived()
 
     # ------------------------------------------------------------------
     # construction
@@ -288,14 +298,54 @@ class CSRGraph:
         return int(self.indices[self.indptr[v] + rng.integers(0, degree)])
 
     # ------------------------------------------------------------------
-    # internals
+    # derived caches (built on first use; never pickled or copied)
     # ------------------------------------------------------------------
     def as_lists(self) -> Tuple[List[int], List[int]]:
-        """Plain-list ``(indptr, indices)`` for interpreted hot loops."""
+        """Plain-list ``(indptr, indices)`` for the pure-Python kernels
+        (Python list indexing beats numpy scalar indexing in
+        interpreted loops)."""
         if self._list_cache is None:
             self._list_cache = (self.indptr.tolist(), self.indices.tolist())
         return self._list_cache
 
+    def walkable(self) -> np.ndarray:
+        """Ids of the vertices a walker can occupy (degree >= 1),
+        ascending: what uniform seeding draws from."""
+        if self._walkable is None:
+            self._walkable = np.flatnonzero(self.degrees() > 0)
+        return self._walkable
+
+    def kernel_pointers(self) -> Tuple[Any, Any]:
+        """``(indptr, indices)`` as the int64 ctypes pointers the native
+        kernels take, bound once per graph instead of once per call."""
+        if self._pointers is None:
+            pointer = ctypes.POINTER(ctypes.c_int64)
+            self._pointers = (
+                self.indptr.ctypes.data_as(pointer),
+                self.indices.ctypes.data_as(pointer),
+            )
+        return self._pointers
+
+    def _clear_derived(self) -> None:
+        self._list_cache: Optional[Tuple[List[int], List[int]]] = None
+        self._walkable: Optional[np.ndarray] = None
+        self._pointers: Optional[Tuple[Any, Any]] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name not in self._DERIVED
+        }
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._clear_derived()
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
     def __repr__(self) -> str:
         return (
             f"CSRGraph(num_vertices={self.num_vertices},"

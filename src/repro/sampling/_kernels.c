@@ -46,8 +46,13 @@
  * are exact integers; float statistics (1/deg reweighting, eq. (7)/(9)
  * sums) are derived in Python from the counts, so block, pure-Python
  * and trace-path estimates are bit-identical.  Counts are INCREMENTED,
- * never zeroed, so multi-walker sessions may fold many kernel calls
- * into one block.
+ * never zeroed, so many kernel calls may fold into one block.
+ *
+ * Zero-degree guard.  A step from a vertex with no neighbours would
+ * index before its row.  Validated graphs never reach one, but an
+ * unvalidated CSR can, so the SRW and MH kernels check the degree
+ * before each step and return a negative status instead of stepping.
+ * FS never picks a zero-degree walker, and fails on zero total degree.
  */
 
 #include <stdint.h>
@@ -57,32 +62,44 @@ static inline int64_t scale_uniform(double u, int64_t range) {
     return value >= range ? range - 1 : value;
 }
 
-/* Simple random walk: `steps` transitions from `start`.
- * Draws: one uniform per step.  Returns the final walker position. */
+/* Simple random walks: `steps` transitions for each of the
+ * `num_walkers` walkers in `walkers`, walker by walker, in place.
+ * Walker w consumes uniforms[w * steps, (w + 1) * steps), one per
+ * step, and its k-th step is step w * steps + k of every output.
+ * Returns 0, or -1 - w when walker w stands on a zero-degree vertex
+ * when it must step; its slot then holds that vertex and the walkers
+ * after it are left untouched. */
 int64_t repro_rw_steps_acc(const int64_t *indptr, const int64_t *indices,
-                           int64_t start, int64_t steps,
-                           const double *uniforms, int64_t key_base,
-                           int64_t *deg_counts, int64_t *visit_counts,
-                           int64_t *edge_keys, int64_t *out_u,
-                           int64_t *out_v) {
-    int64_t current = start;
-    for (int64_t k = 0; k < steps; k++) {
-        int64_t row = indptr[current];
-        int64_t degree = indptr[current + 1] - row;
-        int64_t next = indices[row + scale_uniform(uniforms[k], degree)];
-        if (deg_counts)
-            deg_counts[indptr[next + 1] - indptr[next]]++;
-        if (visit_counts)
-            visit_counts[next]++;
-        if (edge_keys)
-            edge_keys[k] = current * key_base + next;
-        if (out_u)
-            out_u[k] = current;
-        if (out_v)
-            out_v[k] = next;
-        current = next;
+                           int64_t *walkers, int64_t num_walkers,
+                           int64_t steps, const double *uniforms,
+                           int64_t key_base, int64_t *deg_counts,
+                           int64_t *visit_counts, int64_t *edge_keys,
+                           int64_t *out_u, int64_t *out_v) {
+    for (int64_t w = 0; w < num_walkers; w++) {
+        int64_t current = walkers[w];
+        for (int64_t k = w * steps; k < (w + 1) * steps; k++) {
+            int64_t row = indptr[current];
+            int64_t degree = indptr[current + 1] - row;
+            if (degree <= 0) {
+                walkers[w] = current;
+                return -1 - w;
+            }
+            int64_t next = indices[row + scale_uniform(uniforms[k], degree)];
+            if (deg_counts)
+                deg_counts[indptr[next + 1] - indptr[next]]++;
+            if (visit_counts)
+                visit_counts[next]++;
+            if (edge_keys)
+                edge_keys[k] = current * key_base + next;
+            if (out_u)
+                out_u[k] = current;
+            if (out_v)
+                out_v[k] = next;
+            current = next;
+        }
+        walkers[w] = current;
     }
-    return current;
+    return 0;
 }
 
 /* m-dimensional Frontier Sampling; updates `frontier` in place.
@@ -186,7 +203,8 @@ int64_t repro_fs_steps_acc(const int64_t *indptr, const int64_t *indices,
  * only): out_eu/out_ev and edge_keys are filled densely over
  * [0, accepted), while out_visited gets one entry per proposal.
  * Writes the final walker position to out_state[0] and returns the
- * accepted count. */
+ * accepted count, or -1 when the walker stands on a zero-degree vertex
+ * when it must step (out_state[0] then holds that vertex). */
 int64_t repro_mh_steps_acc(const int64_t *indptr, const int64_t *indices,
                            int64_t start, int64_t steps,
                            const double *uniforms, int64_t key_base,
@@ -199,6 +217,10 @@ int64_t repro_mh_steps_acc(const int64_t *indptr, const int64_t *indices,
     for (int64_t k = 0; k < steps; k++) {
         int64_t row = indptr[current];
         int64_t deg_u = indptr[current + 1] - row;
+        if (deg_u <= 0) {
+            out_state[0] = current;
+            return -1;
+        }
         int64_t proposal =
             indices[row + scale_uniform(uniforms[2 * k], deg_u)];
         int64_t deg_v = indptr[proposal + 1] - indptr[proposal];

@@ -25,10 +25,12 @@ Thread contract: ``ctypes`` releases the GIL for the duration of
 every foreign call, so kernel calls from concurrent threads overlap
 on real cores.  That is only sound because the kernels are stateless
 and reentrant — no static or global storage in ``_kernels.c``, all
-inputs read-only except caller-owned output buffers, and every
-wrapper below allocates fresh output arrays per call.  Keep it that
-way: the thread executor in :mod:`repro.sampling.sharded` depends on
-it.
+inputs read-only except caller-owned walker and output buffers, and
+every wrapper below allocates fresh output arrays per call.  Keep it
+that way: the thread executor in :mod:`repro.sampling.sharded` depends
+on it.  The one thing shared between calls is the graph's pair of
+array pointers, bound once per :class:`~repro.graph.csr.CSRGraph` and
+only ever read through.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.graph.csr import CSRGraph
 from repro.sampling._cproto import parse_prototypes
 from repro.sampling.fused import FusedBlock
 
@@ -71,7 +74,7 @@ _DECLARATIONS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "repro_rw_steps_acc": (
         "i64",
         (
-            "i64*", "i64*", "i64", "i64", "f64*",
+            "i64*", "i64*", "i64*", "i64", "i64", "f64*",
             "i64", "i64*", "i64*", "i64*", "i64*", "i64*",
         ),
     ),
@@ -166,6 +169,21 @@ def _cache_dir() -> Path:
     return base / "repro-kernels"
 
 
+def _library_path(source_text: str) -> Path:
+    digest = hashlib.sha256(source_text.encode("utf-8")).hexdigest()[:16]
+    return _cache_dir() / f"kernels-{digest}.so"
+
+
+def library_path() -> Path:
+    """Where :func:`load` looks for (and compiles) the kernel library:
+    the cache directory plus a name keyed by a hash of ``_kernels.c``.
+
+    A library built elsewhere and placed here — a sanitizer build, say
+    — is loaded as is.
+    """
+    return _library_path(_SOURCE.read_text(encoding="utf-8"))
+
+
 def _compile_and_load() -> Optional[ctypes.CDLL]:
     compiler = (
         shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
@@ -176,9 +194,8 @@ def _compile_and_load() -> Optional[ctypes.CDLL]:
     # Fail before compiling (and before any foreign call is possible)
     # if the Python-side declarations drifted from the C prototypes.
     _check_declarations(_DECLARATIONS, source_text)
-    digest = hashlib.sha256(source_text.encode("utf-8")).hexdigest()[:16]
-    directory = _cache_dir()
-    library = directory / f"kernels-{digest}.so"
+    library = _library_path(source_text)
+    directory = library.parent
     if not library.exists():
         directory.mkdir(parents=True, exist_ok=True)
         # Compile to a private temp name, then atomically rename, so
@@ -245,11 +262,13 @@ def _lib() -> ctypes.CDLL:
     """The loaded library; raises instead of returning ``None``.
 
     The wrappers below are only reachable when a caller already chose
-    the native path, so an unavailable library here is a programming
-    error — fail with a readable message rather than an
+    the native path through :func:`available`, which read the switch
+    and loaded the library, so this reuses that library instead of
+    reading ``REPRO_NO_NATIVE`` again.  An unavailable library here is
+    a programming error — fail with a readable message rather than an
     ``AttributeError`` on ``None``.
     """
-    lib = load()
+    lib = _LIB if _ATTEMPTED else load()
     if lib is None:
         raise RuntimeError(
             "native kernels are unavailable (no compiler, failed"
@@ -259,15 +278,18 @@ def _lib() -> ctypes.CDLL:
     return lib
 
 
-def _i64(array: np.ndarray) -> "ctypes._Pointer[ctypes.c_int64]":
-    return array.ctypes.data_as(_I64P)
+def _i64(array: np.ndarray) -> "ctypes.Array[ctypes.c_int64]":
+    """A fresh, writable int64 array as a kernel argument (no copy: a
+    ctypes array over its buffer, which the ``i64*`` parameters accept
+    and which is cheaper to build than ``array.ctypes.data_as``)."""
+    return (ctypes.c_int64 * array.size).from_buffer(array)
 
 
-def _f64(array: np.ndarray) -> "ctypes._Pointer[ctypes.c_double]":
-    return array.ctypes.data_as(_DP)
+def _f64(array: np.ndarray) -> "ctypes.Array[ctypes.c_double]":
+    return (ctypes.c_double * array.size).from_buffer(array)
 
 
-_OptPtr = Optional["ctypes._Pointer[ctypes.c_int64]"]
+_OptPtr = Optional["ctypes.Array[ctypes.c_int64]"]
 
 
 def _i64_opt(array: Optional[np.ndarray]) -> _OptPtr:
@@ -295,44 +317,59 @@ _NO_BLOCK = (0, None, None, None)
 Record = Tuple[np.ndarray, ...]
 
 
-def rw_steps_acc(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    start: int,
-    steps: int,
-    uniforms: np.ndarray,
-    block: Optional[FusedBlock] = None,
-) -> Tuple[int, Optional[Record]]:
-    """Native simple-random-walk steps; returns ``(final, record)``.
+def isolated(vertex: int) -> ValueError:
+    """The error a walk step from a zero-degree vertex raises, on the
+    native and the pure-Python kernel path alike."""
+    return ValueError(f"cannot walk from isolated vertex {vertex}")
 
-    Without a ``block`` the kernel writes the step record ``(out_u,
-    out_v)``; with one it folds every step into the block instead and
-    ``record`` is ``None``.
+
+def rw_steps_acc(
+    graph: CSRGraph,
+    walkers: np.ndarray,
+    uniforms: np.ndarray,
+    steps: int,
+    block: Optional[FusedBlock] = None,
+) -> Optional[Record]:
+    """Native simple random walks; advances ``walkers`` in place.
+
+    ``steps`` is the call's total, ``len(walkers)`` equal shares taken
+    walker by walker: walker ``w`` reads ``uniforms[w*s:(w+1)*s]`` and
+    fills the same slice of every output.  Without a ``block`` the
+    kernel writes the step record ``(out_u, out_v)``; with one it folds
+    every step into the block instead and returns ``None``.
     """
     lib = _lib()
-    head = (_i64(indptr), _i64(indices), start, steps, _f64(uniforms))
+    head = (
+        *graph.kernel_pointers(), _i64(walkers), len(walkers),
+        steps // len(walkers), _f64(uniforms),
+    )
+    keys: Optional[np.ndarray] = None
+    record: Optional[Record] = None
     if block is not None:
         keys = block.new_edge_buffer(steps)
-        final = lib.repro_rw_steps_acc(
+        status = lib.repro_rw_steps_acc(
             *head, *_block_args(block, keys), None, None
         )
+    else:
+        record = (
+            np.empty(steps, dtype=np.int64), np.empty(steps, dtype=np.int64)
+        )
+        status = lib.repro_rw_steps_acc(
+            *head, *_NO_BLOCK, *(_i64(out) for out in record)
+        )
+    if status < 0:
+        raise isolated(int(walkers[-1 - status]))
+    if block is not None:
         block.commit(keys, steps)
-        return int(final), None
-    out_u = np.empty(steps, dtype=np.int64)
-    out_v = np.empty(steps, dtype=np.int64)
-    final = lib.repro_rw_steps_acc(
-        *head, *_NO_BLOCK, _i64(out_u), _i64(out_v)
-    )
-    return int(final), (out_u, out_v)
+    return record
 
 
 def fs_steps_acc(
-    indptr: np.ndarray,
-    indices: np.ndarray,
+    graph: CSRGraph,
     frontier: np.ndarray,
+    uniforms: np.ndarray,
     steps: int,
     degree_selection: bool,
-    uniforms: np.ndarray,
     block: Optional[FusedBlock] = None,
 ) -> Optional[Record]:
     """Native FS steps; walks ``frontier`` in place.
@@ -346,7 +383,7 @@ def fs_steps_acc(
     m = len(frontier)
     fenwick = np.empty(m + 1, dtype=np.int64) if degree_selection else None
     head = (
-        _i64(indptr), _i64(indices), _i64(frontier), m, steps,
+        *graph.kernel_pointers(), _i64(frontier), m, steps,
         1 if degree_selection else 0, _f64(uniforms),
     )
     keys: Optional[np.ndarray] = None
@@ -371,11 +408,10 @@ def fs_steps_acc(
 
 
 def mh_steps_acc(
-    indptr: np.ndarray,
-    indices: np.ndarray,
+    graph: CSRGraph,
     start: int,
-    steps: int,
     uniforms: np.ndarray,
+    steps: int,
     block: Optional[FusedBlock] = None,
 ) -> Tuple[int, Optional[Record]]:
     """Native MH walk; returns ``(final, record)``.
@@ -388,22 +424,25 @@ def mh_steps_acc(
     """
     lib = _lib()
     out_state = np.empty(1, dtype=np.int64)
-    head = (_i64(indptr), _i64(indices), start, steps, _f64(uniforms))
+    head = (*graph.kernel_pointers(), start, steps, _f64(uniforms))
+    keys: Optional[np.ndarray] = None
     if block is not None:
         keys = block.new_edge_buffer(steps)
+        outputs: Record = ()
         accepted = lib.repro_mh_steps_acc(
             *head, *_block_args(block, keys), _i64(out_state),
             None, None, None,
         )
+    else:
+        outputs = tuple(np.empty(steps, dtype=np.int64) for _ in range(3))
+        accepted = lib.repro_mh_steps_acc(
+            *head, *_NO_BLOCK, _i64(out_state),
+            *(_i64(out) for out in outputs),
+        )
+    if accepted < 0:
+        raise isolated(int(out_state[0]))
+    if block is not None:
         block.commit(keys, accepted)
         return int(out_state[0]), None
-    out_eu = np.empty(steps, dtype=np.int64)
-    out_ev = np.empty(steps, dtype=np.int64)
-    out_visited = np.empty(steps, dtype=np.int64)
-    accepted = lib.repro_mh_steps_acc(
-        *head, *_NO_BLOCK, _i64(out_state),
-        _i64(out_eu), _i64(out_ev), _i64(out_visited),
-    )
-    return int(out_state[0]), (
-        out_eu[:accepted], out_ev[:accepted], out_visited
-    )
+    edge_u, edge_v, visited = outputs
+    return int(out_state[0]), (edge_u[:accepted], edge_v[:accepted], visited)

@@ -768,10 +768,28 @@ class _ArraySession(SamplerSession):
     _UNPICKLED = ("_fast",)
     _with_walkers = False
 
-    def __init__(self, sampler: Any, graph: Any, rng: RngLike) -> None:
+    def __init__(
+        self,
+        sampler: Any,
+        graph: Any,
+        rng: RngLike,
+        initial_vertices: Optional[Sequence[int]] = None,
+    ) -> None:
         self._fast = get_csr(graph)
         generator = ensure_np_rng(rng)
-        seeds = self._draw_seeds(sampler, generator)
+        if initial_vertices is None:
+            # Drawn seeds are walkable by construction.
+            seeds = vectorized.make_seeds_np(
+                self._fast,
+                self._seed_count(sampler),
+                sampler.seeding,
+                generator,
+            )
+        else:
+            seeds = [int(v) for v in initial_vertices]
+            require_walkable_seeds(
+                self._fast, seeds, f"{sampler.name} cannot walk from it"
+            )
         super().__init__(sampler, graph, seeds)
         self.rng = generator
         self._source_chunks: List[np.ndarray] = []
@@ -783,12 +801,9 @@ class _ArraySession(SamplerSession):
         #: attach-time signature check guarantees it stays valid).
         self._max_degree: Optional[int] = None
 
-    def _draw_seeds(
-        self, sampler: Any, generator: np.random.Generator
-    ) -> List[int]:
-        return vectorized.make_seeds_np(
-            self._fast, 1, sampler.seeding, generator
-        )
+    def _seed_count(self, sampler: Any) -> int:
+        """How many walkers the session seeds."""
+        return 1
 
     def _record_chunk(
         self,
@@ -895,34 +910,20 @@ class ArraySingleSession(_ArraySession):
         rng: RngLike = None,
         initial_vertices: Optional[Sequence[int]] = None,
     ) -> None:
-        self._pinned_seeds = (
-            None
-            if initial_vertices is None
-            else [int(v) for v in initial_vertices]
-        )
-        super().__init__(sampler, graph, rng)
+        super().__init__(sampler, graph, rng, initial_vertices)
         self.position = self.initial_vertices[0]
-        require_walkable_seeds(
-            self._fast, [self.position], "SingleRW cannot walk from it"
-        )
-
-    def _draw_seeds(
-        self, sampler: Any, generator: np.random.Generator
-    ) -> List[int]:
-        if self._pinned_seeds is not None:
-            return self._pinned_seeds
-        return super()._draw_seeds(sampler, generator)
 
     def _advance(self, steps: int, block: Optional[FusedBlock] = None) -> None:
-        self.position, record = vectorized.run_random_walk(
-            self._fast, self.position, steps, self.rng, block
+        (self.position,), record = vectorized.run_random_walk(
+            self._fast, [self.position], steps, self.rng, block
         )
         if record is not None:
             self._record_chunk(*record)
 
 
 class ArrayMultipleSession(_ArraySession):
-    """MultipleRW on the csr backend (walker-by-walker draw blocks)."""
+    """MultipleRW on the csr backend: one walker-major draw block and
+    one kernel call per advance."""
 
     _split_budget = True
     _with_walkers = True
@@ -934,38 +935,20 @@ class ArrayMultipleSession(_ArraySession):
         rng: RngLike = None,
         initial_vertices: Optional[Sequence[int]] = None,
     ) -> None:
-        self._pinned_seeds = (
-            None
-            if initial_vertices is None
-            else [int(v) for v in initial_vertices]
-        )
-        super().__init__(sampler, graph, rng)
+        super().__init__(sampler, graph, rng, initial_vertices)
         self.positions = list(self.initial_vertices)
-        require_walkable_seeds(
-            self._fast, self.positions, "MultipleRW cannot walk from it"
-        )
 
-    def _draw_seeds(
-        self, sampler: Any, generator: np.random.Generator
-    ) -> List[int]:
-        if self._pinned_seeds is not None:
-            return self._pinned_seeds
-        return vectorized.make_seeds_np(
-            self._fast, sampler.num_walkers, sampler.seeding, generator
-        )
+    def _seed_count(self, sampler: Any) -> int:
+        return int(sampler.num_walkers)
 
     def _advance(self, steps: int, block: Optional[FusedBlock] = None) -> None:
-        # Walker-by-walker draw blocks; on the block path every walker
-        # folds into the one block (integer counts make that
-        # order-invariant).
-        for idx, start in enumerate(self.positions):
-            self.positions[idx], record = vectorized.run_random_walk(
-                self._fast, start, steps, self.rng, block
-            )
-            if record is not None:
-                self._record_chunk(
-                    *record, np.full(steps, idx, dtype=np.int64)
-                )
+        # Walker w's steps fill slots [w * steps, (w + 1) * steps).
+        self.positions, record = vectorized.run_random_walk(
+            self._fast, self.positions, steps, self.rng, block
+        )
+        if record is not None:
+            walkers = np.arange(len(self.positions), dtype=np.int64)
+            self._record_chunk(*record, np.repeat(walkers, steps))
 
 
 class ArrayFrontierSession(_ArraySession):
@@ -980,28 +963,12 @@ class ArrayFrontierSession(_ArraySession):
         rng: RngLike = None,
         initial_vertices: Optional[Sequence[int]] = None,
     ) -> None:
-        self._pinned_seeds = (
-            None
-            if initial_vertices is None
-            else [int(v) for v in initial_vertices]
-        )
-        super().__init__(sampler, graph, rng)
+        super().__init__(sampler, graph, rng, initial_vertices)
         self.walker_selection = sampler.walker_selection
         self.frontier = list(self.initial_vertices)
-        # Drawn seeds are walkable by construction; pinned ones must be
-        # checked here, exactly as the list session does at start.
-        require_walkable_seeds(
-            self._fast, self.frontier, "FS cannot walk from it"
-        )
 
-    def _draw_seeds(
-        self, sampler: Any, generator: np.random.Generator
-    ) -> List[int]:
-        if self._pinned_seeds is not None:
-            return self._pinned_seeds
-        return vectorized.make_seeds_np(
-            self._fast, sampler.dimension, sampler.seeding, generator
-        )
+    def _seed_count(self, sampler: Any) -> int:
+        return int(sampler.dimension)
 
     def _advance(self, steps: int, block: Optional[FusedBlock] = None) -> None:
         self.frontier, record = vectorized.run_frontier(

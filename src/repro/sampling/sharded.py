@@ -221,8 +221,8 @@ def _advance_blocks(
     call requests.
     """
     steps = blocks * block_size
-    final, record = run_random_walk(
-        csr, walker.position, steps, walker.walk_rng
+    (final,), record = run_random_walk(
+        csr, [walker.position], steps, walker.walk_rng
     )
     assert record is not None
     sources, targets = record

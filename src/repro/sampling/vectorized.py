@@ -35,8 +35,15 @@ Draw protocol (per session): seed uniforms first — one per seed,
 against the walkable-vertex count (uniform seeding) or the total
 degree (stationary seeding) — then step uniforms: SRW one per step;
 FS one per step (degree selection) or two (uniform selection); MHRW
-two per step (proposal, accept); MultipleRW one block of ``steps``
-uniforms per walker, walker by walker.
+two per step (proposal, accept); MultipleRW one walker-major block of
+``walkers * steps`` uniforms per advance, walker ``w`` reading its
+``steps`` uniforms at offset ``w * steps`` (the stream one ``steps``
+block per walker would draw), all walkers advanced in one kernel call.
+
+A step from a zero-degree vertex — reachable only on an unvalidated
+CSR — raises the same ``ValueError`` on both kernel paths, naming the
+vertex; the kernels check every step, so the runners do not pre-check
+starts.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, get_csr
 from repro.graph.graph import Graph
 from repro.sampling import _native
 from repro.sampling._native import Record
@@ -209,9 +216,14 @@ def uniform_seeds_np(
     degrees: np.ndarray, count: int, rng: np.random.Generator
 ) -> List[int]:
     """``count`` uniform draws over the walkable (degree >= 1) vertices."""
+    return _draw_uniform(np.flatnonzero(degrees > 0), count, rng)
+
+
+def _draw_uniform(
+    walkable: np.ndarray, count: int, rng: np.random.Generator
+) -> List[int]:
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    walkable = np.flatnonzero(degrees > 0)
     if walkable.size == 0:
         raise ValueError("graph has no vertices with positive degree")
     positions = (rng.random(count) * walkable.size).astype(np.int64)
@@ -237,12 +249,14 @@ def stationary_seeds_np(
 def make_seeds_np(
     graph: GraphLike, count: int, mode: str, rng: np.random.Generator
 ) -> List[int]:
-    """Dispatch on the seeding mode (numpy draw protocol)."""
-    degrees = degrees_array(graph)
+    """Dispatch on the seeding mode (numpy draw protocol).
+
+    Uniform seeding draws from the graph's cached walkable set.
+    """
     if mode == "uniform":
-        return uniform_seeds_np(degrees, count, rng)
+        return _draw_uniform(get_csr(graph).walkable(), count, rng)
     if mode == "stationary":
-        return stationary_seeds_np(degrees, count, rng)
+        return stationary_seeds_np(degrees_array(graph), count, rng)
     raise ValueError(
         f"seeding must be one of ('uniform', 'stationary'), got {mode!r}"
     )
@@ -279,40 +293,49 @@ def _fold(
 
 def run_random_walk(
     graph: CSRGraph,
-    start: int,
+    walkers: Sequence[int],
     steps: int,
     rng: np.random.Generator,
     block: Optional[FusedBlock] = None,
-) -> Tuple[int, Optional[Record]]:
-    """SRW from ``start``; one uniform per step.
+) -> Tuple[List[int], Optional[Record]]:
+    """SRW: ``steps`` steps for each of ``walkers`` (start vertices; a
+    bare vertex is one walker), walker by walker — SingleRW is one
+    walker, MultipleRW many.
 
-    Returns ``(final, record)``: the walker's last position and the
-    step record ``(sources, targets)`` — or ``None`` when a ``block``
-    is given, the steps then being folded into it.
+    One ``rng.random(len(walkers) * steps)`` block feeds the walk,
+    walker ``w`` reading the ``steps`` uniforms at ``w * steps``.
+    Returns ``(final_walkers, record)`` with the walker-major step
+    record ``(sources, targets)`` — or ``None`` when a ``block`` is
+    given, the steps then being folded into it.  ``walkers`` itself is
+    never modified.
     """
-    if graph.degree(start) == 0:
-        raise ValueError(f"cannot walk from isolated vertex {start}")
-    uniforms = rng.random(steps)
+    positions = np.array(walkers, dtype=np.int64, ndmin=1)
+    uniforms = rng.random(positions.size * steps)
     if _native.available():
-        return _native.rw_steps_acc(
-            graph.indptr, graph.indices, start, steps, uniforms, block
+        record = _native.rw_steps_acc(
+            graph, positions, uniforms, positions.size * steps, block
         )
+        return positions.tolist(), record
     degree_of, neighbor_at = _accessors(graph)
     draws = uniforms.tolist()
+    finals: List[int] = []
     sources: List[int] = []
     targets: List[int] = []
-    current = int(start)
-    for k in range(steps):
-        degree = degree_of(current)
-        nxt = neighbor_at(current, _scale(draws[k], degree))
-        sources.append(current)
-        targets.append(nxt)
-        current = nxt
+    for w, current in enumerate(positions.tolist()):
+        for u in draws[w * steps : (w + 1) * steps]:
+            degree = degree_of(current)
+            if degree <= 0:
+                raise _native.isolated(current)
+            nxt = neighbor_at(current, _scale(u, degree))
+            sources.append(current)
+            targets.append(nxt)
+            current = nxt
+        finals.append(current)
     record = (
         np.asarray(sources, dtype=np.int64),
         np.asarray(targets, dtype=np.int64),
     )
-    return current, _fold(graph, block, record)
+    return finals, _fold(graph, block, record)
 
 
 def run_frontier(
@@ -344,13 +367,7 @@ def run_frontier(
     uniforms = rng.random(steps if degree_selection else 2 * steps)
     if _native.available():
         record = _native.fs_steps_acc(
-            graph.indptr,
-            graph.indices,
-            positions_array,
-            steps,
-            degree_selection,
-            uniforms,
-            block,
+            graph, positions_array, uniforms, steps, degree_selection, block
         )
         return positions_array.tolist(), record
     degree_of, neighbor_at = _accessors(graph)
@@ -417,13 +434,9 @@ def run_metropolis(
     instead (``block.steps`` grows by the accepted count, mirroring
     ``ArrayMetropolisTrace.step_targets``) and ``record`` is ``None``.
     """
-    if graph.degree(start) == 0:
-        raise ValueError(f"cannot walk from isolated vertex {start}")
     uniforms = rng.random(2 * steps)
     if _native.available():
-        return _native.mh_steps_acc(
-            graph.indptr, graph.indices, start, steps, uniforms, block
-        )
+        return _native.mh_steps_acc(graph, start, uniforms, steps, block)
     degree_of, neighbor_at = _accessors(graph)
     draws = uniforms.tolist()
     edge_sources: List[int] = []
@@ -432,6 +445,8 @@ def run_metropolis(
     current = int(start)
     for k in range(steps):
         degree_u = degree_of(current)
+        if degree_u <= 0:
+            raise _native.isolated(current)
         proposal = neighbor_at(current, _scale(draws[2 * k], degree_u))
         degree_v = degree_of(proposal)
         if draws[2 * k + 1] * degree_v < degree_u:
