@@ -92,8 +92,9 @@ class FusedBlock:
     Buffers not requested by ``needs`` stay ``None`` and are passed to
     the C kernels as NULL pointers — the peak scratch for the common
     degree-statistics bundle is the ``max_degree + 1`` count array
-    alone.  Counts accumulate across multiple kernel calls (multi-walker
-    sessions fold one call per walker into the same block).
+    alone.  Counts accumulate across kernel calls and folded step
+    records (a session folds a retained record and its next kernel call
+    into one block; the sharded sessions fold their merged chunks).
     """
 
     def __init__(
