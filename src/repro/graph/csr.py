@@ -28,7 +28,6 @@ over those rows with the CSR already attached.
 
 from __future__ import annotations
 
-import ctypes
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -44,10 +43,11 @@ class CSRGraph:
     :class:`Graph`; convert once when the crawl/generation phase ends.
 
     Because the arrays never change, what the walk layer derives from
-    them — plain-list views, the walkable vertex ids, the native
-    kernels' array pointers — is built on first use and kept on the
-    graph.  Pickles and copies carry none of it (ctypes pointers cannot
-    be pickled), and rebuild it on demand.
+    them — plain-list views, the walkable vertex ids, and the native
+    kernels' array pointers (``_pointers``, built and filled by
+    :mod:`repro.sampling._native`) — is built on first use and kept on
+    the graph.  Pickles and copies carry none of it (ctypes pointers
+    cannot be pickled), and rebuild it on demand.
     """
 
     __slots__ = (
@@ -314,17 +314,6 @@ class CSRGraph:
         if self._walkable is None:
             self._walkable = np.flatnonzero(self.degrees() > 0)
         return self._walkable
-
-    def kernel_pointers(self) -> Tuple[Any, Any]:
-        """``(indptr, indices)`` as the int64 ctypes pointers the native
-        kernels take, bound once per graph instead of once per call."""
-        if self._pointers is None:
-            pointer = ctypes.POINTER(ctypes.c_int64)
-            self._pointers = (
-                self.indptr.ctypes.data_as(pointer),
-                self.indices.ctypes.data_as(pointer),
-            )
-        return self._pointers
 
     def _clear_derived(self) -> None:
         self._list_cache: Optional[Tuple[List[int], List[int]]] = None

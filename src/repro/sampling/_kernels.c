@@ -52,7 +52,12 @@
  * index before its row.  Validated graphs never reach one, but an
  * unvalidated CSR can, so the SRW and MH kernels check the degree
  * before each step and return a negative status instead of stepping.
- * FS never picks a zero-degree walker, and fails on zero total degree.
+ * FS under degree selection never picks a zero-degree walker, and fails
+ * once the frontier's total degree is zero; under uniform selection it
+ * checks the picked walker's degree and fails if it is zero.
+ *
+ * A failing kernel has already folded the steps before the stuck one
+ * into the caller's counts and walker state: the caller discards them.
  */
 
 #include <stdint.h>
@@ -119,7 +124,9 @@ int64_t repro_rw_steps_acc(const int64_t *indptr, const int64_t *indices,
  * degree_selection == 0 (uniform-walker ablation): two uniforms per
  * step — walker index, then neighbor offset; `fenwick` may be NULL.
  *
- * Returns 0, or -1 if the frontier's total degree is ever <= 0. */
+ * Returns 0; -1 if the frontier's total degree is ever <= 0 (degree
+ * selection); or -2 - idx when uniform selection picks walker idx on a
+ * zero-degree vertex (frontier[idx] then holds that vertex). */
 int64_t repro_fs_steps_acc(const int64_t *indptr, const int64_t *indices,
                            int64_t *frontier, int64_t m, int64_t steps,
                            int64_t degree_selection, const double *uniforms,
@@ -167,7 +174,7 @@ int64_t repro_fs_steps_acc(const int64_t *indptr, const int64_t *indices,
             int64_t vertex = frontier[idx];
             int64_t degree = indptr[vertex + 1] - indptr[vertex];
             if (degree <= 0)
-                return -1;
+                return -2 - idx;
             offset = scale_uniform(uniforms[2 * k + 1], degree);
         }
         int64_t current = frontier[idx];

@@ -43,7 +43,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -278,6 +278,17 @@ def _lib() -> ctypes.CDLL:
     return lib
 
 
+def _graph_pointers(graph: CSRGraph) -> Tuple[Any, Any]:
+    """``(indptr, indices)`` as kernel arguments, bound once per graph
+    and kept in its ``_pointers`` slot (the arrays never change)."""
+    if graph._pointers is None:
+        graph._pointers = (
+            graph.indptr.ctypes.data_as(_I64P),
+            graph.indices.ctypes.data_as(_I64P),
+        )
+    return graph._pointers
+
+
 def _i64(array: np.ndarray) -> "ctypes.Array[ctypes.c_int64]":
     """A fresh, writable int64 array as a kernel argument (no copy: a
     ctypes array over its buffer, which the ``i64*`` parameters accept
@@ -340,7 +351,7 @@ def rw_steps_acc(
     """
     lib = _lib()
     head = (
-        *graph.kernel_pointers(), _i64(walkers), len(walkers),
+        *_graph_pointers(graph), _i64(walkers), len(walkers),
         steps // len(walkers), _f64(uniforms),
     )
     keys: Optional[np.ndarray] = None
@@ -383,7 +394,7 @@ def fs_steps_acc(
     m = len(frontier)
     fenwick = np.empty(m + 1, dtype=np.int64) if degree_selection else None
     head = (
-        *graph.kernel_pointers(), _i64(frontier), m, steps,
+        *_graph_pointers(graph), _i64(frontier), m, steps,
         1 if degree_selection else 0, _f64(uniforms),
     )
     keys: Optional[np.ndarray] = None
@@ -400,8 +411,10 @@ def fs_steps_acc(
             *head, *_NO_BLOCK, _i64_opt(fenwick),
             *(_i64(out) for out in record),
         )
-    if status != 0:
+    if status == -1:
         raise ValueError("frontier reached a state with zero total degree")
+    if status < 0:
+        raise isolated(int(frontier[-2 - status]))
     if block is not None:
         block.commit(keys, steps)
     return record
@@ -424,7 +437,7 @@ def mh_steps_acc(
     """
     lib = _lib()
     out_state = np.empty(1, dtype=np.int64)
-    head = (*graph.kernel_pointers(), start, steps, _f64(uniforms))
+    head = (*_graph_pointers(graph), start, steps, _f64(uniforms))
     keys: Optional[np.ndarray] = None
     if block is not None:
         keys = block.new_edge_buffer(steps)

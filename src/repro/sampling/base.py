@@ -15,8 +15,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.util.alias import AliasTable
@@ -271,17 +269,7 @@ def check_pinned_seeds(initial_vertices, dimension: int) -> None:
 def require_walkable_seeds(
     graph, vertices, reason: str = "cannot walk from it"
 ) -> None:
-    """Raise if any seed is isolated (works on either graph backend).
-
-    A :class:`CSRGraph` looks every seed up in its cached walkable set
-    at once; the per-seed loop then runs only to name the first bad
-    seed (an out-of-range one raises ``IndexError``).
-    """
-    if isinstance(graph, CSRGraph):
-        walkable = graph.walkable()
-        found = np.searchsorted(walkable, vertices, "right")
-        if np.all(found > np.searchsorted(walkable, vertices)):
-            return
+    """Raise if any seed is isolated (works on either graph backend)."""
     for v in vertices:
         if graph.degree(v) == 0:
             raise ValueError(f"initial vertex {v} is isolated; {reason}")

@@ -43,7 +43,11 @@ block per walker would draw), all walkers advanced in one kernel call.
 A step from a zero-degree vertex — reachable only on an unvalidated
 CSR — raises the same ``ValueError`` on both kernel paths, naming the
 vertex; the kernels check every step, so the runners do not pre-check
-starts.
+starts.  Only the error is the same, not the state left behind: a
+native kernel has already folded the steps before the stuck one into
+the walkers and the block, the mirror none of them, and the session
+may have moved its generator and drained its retained record.  After
+that error, discard the block and the session.
 """
 
 from __future__ import annotations
@@ -308,6 +312,10 @@ def run_random_walk(
     record ``(sources, targets)`` — or ``None`` when a ``block`` is
     given, the steps then being folded into it.  ``walkers`` itself is
     never modified.
+
+    A step from a zero-degree vertex raises ``ValueError`` naming it;
+    the ``block`` and the calling session must then be discarded (see
+    the module docstring).
     """
     positions = np.array(walkers, dtype=np.int64, ndmin=1)
     uniforms = rng.random(positions.size * steps)
@@ -355,6 +363,11 @@ def run_frontier(
     cumulative-degree scan here and by the kernel's Fenwick descent,
     which pick the same walker; the uniform-walker ablation consumes
     two.
+
+    Degree selection raises ``ValueError`` once the frontier's total
+    degree is zero; uniform selection raises one naming the vertex when
+    it picks a walker standing on a zero-degree vertex.  The ``block``
+    and the calling session must then be discarded.
     """
     if walker_selection not in ("degree", "uniform"):
         raise ValueError(
@@ -398,9 +411,7 @@ def run_frontier(
             idx = _scale(draws[2 * k], m)
             degree = degree_of(positions[idx])
             if degree <= 0:
-                raise ValueError(
-                    "frontier reached a state with zero total degree"
-                )
+                raise _native.isolated(positions[idx])
             offset = _scale(draws[2 * k + 1], degree)
         current = positions[idx]
         old_degree = degree_of(current)
@@ -433,6 +444,9 @@ def run_metropolis(
     step.  With a ``block`` the accepted transitions fold into it
     instead (``block.steps`` grows by the accepted count, mirroring
     ``ArrayMetropolisTrace.step_targets``) and ``record`` is ``None``.
+
+    A step from a zero-degree vertex raises ``ValueError`` naming it;
+    the ``block`` and the calling session must then be discarded.
     """
     uniforms = rng.random(2 * steps)
     if _native.available():

@@ -94,7 +94,9 @@ def _walked_csr(graph) -> CSRGraph:
     MultipleRandomWalk(4, backend="csr").sample(csr, 40, rng=1)
     csr.as_lists()
     csr.walkable()
-    csr.kernel_pointers()
+    _native._graph_pointers(csr)
+    for name in CSRGraph._DERIVED:
+        assert getattr(csr, name) is not None, name
     return csr
 
 
@@ -129,7 +131,7 @@ def test_graph_copies_carry_no_csr_cache(graph, copier):
 
 def test_derived_caches_are_built_once(graph):
     csr = get_csr(graph)
-    assert csr.kernel_pointers() is csr.kernel_pointers()
+    assert _native._graph_pointers(csr) is _native._graph_pointers(csr)
     assert csr.walkable() is csr.walkable()
     np.testing.assert_array_equal(
         csr.walkable(), np.flatnonzero(csr.degrees())

@@ -93,12 +93,17 @@ def test_runners(kernel, with_block):
         vec.run_metropolis(graph, 2, 5, rng, block)
 
 
-@pytest.mark.parametrize("selection", ["degree", "uniform"])
-def test_frontier_regression(kernel, selection):
-    """FS never picks a zero-degree walker and fails once the whole
-    frontier is stuck."""
+@pytest.mark.parametrize(
+    "selection, error",
+    [("degree", "zero total degree"), ("uniform", "isolated vertex 0")],
+    ids=["degree", "uniform"],
+)
+def test_frontier_regression(kernel, selection, error):
+    """Degree selection never picks a zero-degree walker and fails once
+    the frontier's total degree is zero; uniform selection can pick a
+    stuck walker, and the step from it fails naming the vertex."""
     session = FrontierSampler(
         2, walker_selection=selection, backend="csr"
     ).start(dead_end(), rng=1, initial_vertices=[2, 2])
-    with pytest.raises(ValueError, match="zero total degree"):
+    with pytest.raises(ValueError, match=error):
         session.advance(5)
