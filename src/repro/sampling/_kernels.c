@@ -57,7 +57,8 @@
  * checks the picked walker's degree and fails if it is zero.
  *
  * A failing kernel has already folded the steps before the stuck one
- * into the caller's counts and walker state: the caller discards them.
+ * into the caller's counts and walker state, so the caller must discard
+ * them.
  */
 
 #include <stdint.h>
