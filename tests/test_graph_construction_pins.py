@@ -7,6 +7,14 @@ caller's generator, which shows the build consumed exactly the draws
 it always did.  A change to how graphs are stored or assembled must
 leave every value here untouched: walks, goldens and suite baselines
 all depend on the neighbour order these arrays fix.
+
+The BA cases cover every set-table size the attachment loop's target
+set passes through (8 slots for k <= 4, 32 for k = 5, 128 for
+k = 20), G(2048, m) draws from a power-of-two range (about half of
+all words are redrawn), and the gauss case starts from a generator
+that holds a cached ``gauss_next``.  The size-estimator pins record
+``StreamingGraphSize.num_vertices()`` after each absorb on both
+kernel paths.
 """
 
 from __future__ import annotations
@@ -17,11 +25,19 @@ import random
 import numpy as np
 import pytest
 
+from repro.estimators.streaming import StreamingGraphSize
 from repro.experiments import suite
 from repro.generators.ba import barabasi_albert
+from repro.generators.composite import join_by_bridge
 from repro.generators.er import erdos_renyi_gnm
 from repro.graph.components import largest_connected_component
 from repro.graph.csr import get_csr
+from repro.sampling import _native
+from repro.sampling.frontier import FrontierSampler
+from repro.sampling.fused import FusedNeeds
+from repro.sampling.metropolis import MetropolisHastingsWalk
+from repro.sampling.session import record_checkpoints
+from repro.sampling.single import SingleRandomWalk
 
 SEED = 20240601
 
@@ -39,6 +55,13 @@ def _lcc_of_sparse_gnm(rng: random.Random):
     return lcc
 
 
+def _gab_pair(rng: random.Random):
+    # As datasets.registry.gab builds it: both graphs from one generator.
+    return join_by_bridge(
+        barabasi_albert(1000, 1, rng=rng), barabasi_albert(1000, 5, rng=rng)
+    )
+
+
 CASES = {
     "ba-k1": (
         lambda rng: barabasi_albert(2500, 1, rng=rng),
@@ -53,6 +76,41 @@ CASES = {
         "000dfd95e2ccd9518c415620032ff3cb8cce2dc60dc9d7b7a7853882fed1c4e7",
         7491,
         0.16712349671007343,
+    ),
+    "ba-k2": (
+        lambda rng: barabasi_albert(2500, 2, rng=rng),
+        "b02b460ef1d18dca0a524c4f5838b33441b25b1ef22c0b126f13acd00ac2cc11",
+        "7dc8a57deb615eb33355e9b06ccbabbbb04bafda01e627949c69f8c8335b4200",
+        4996,
+        0.021950573359544867,
+    ),
+    "ba-k5": (
+        lambda rng: barabasi_albert(2500, 5, rng=rng),
+        "b3a5c18bc671a08ba48ba631464858d696e6e6e80901d189536e89887b1547de",
+        "55b7a8b9410a740cea59b192fbe29c7bcbdf13793b4905e529fe712108f5703f",
+        12475,
+        0.03481822401970758,
+    ),
+    "ba-k20": (
+        lambda rng: barabasi_albert(600, 20, rng=rng),
+        "8367c9bc5b78455fb70ba9c0231c6e98bbdc27197e4e02db7e68e9bc74a1ddfe",
+        "b2404c8d698e3a05b9167f81d18222716c662916e20ff8590bda28a84d769df5",
+        11600,
+        0.7499314423298608,
+    ),
+    "gab-pair": (
+        _gab_pair,
+        "68451ef85531ad173490326f455137801a73557433709ca78c8331152df48c92",
+        "c92533d6bc8aaa93015522d20af53c59336f6924cabe450b46c0e9e96956b6d2",
+        5975,
+        0.7793892246118083,
+    ),
+    "gnm-pow2": (
+        lambda rng: erdos_renyi_gnm(2048, 6000, rng=rng),
+        "e9dc4b278ed0da4f39e5c548c6ae6a926855dec57581fc81f37ec6491174bf14",
+        "4ee3daaebb182d2da83836fa26ebafc70194a0ce497d0e8a03c47c11d7406ccb",
+        6000,
+        0.8589553925480368,
     ),
     "gnm": (
         lambda rng: erdos_renyi_gnm(2500, 7500, rng=rng),
@@ -94,3 +152,76 @@ def test_suite_er_family_is_pinned():
         "09dfeaa66223add04d9457899c5d253fa8a52ac4897c2753ef1a5dfc9df19343"
     )
     assert graph.version == 7500
+
+
+def test_builds_keep_a_cached_gauss_and_the_stream_position():
+    rng = random.Random(SEED)
+    assert rng.gauss(0, 1) == 0.7700989154549923  # caches gauss_next
+    ba = get_csr(barabasi_albert(1500, 3, rng=rng))
+    gnm = get_csr(erdos_renyi_gnm(1500, 4000, rng=rng))
+    assert (_digest(ba.indptr), _digest(ba.indices)) == (
+        "b9b55f1e09442f192f4076bf2bd186d1fc7654a93709b4da90a057e35ab7f482",
+        "51026ce7636bb859f166905b0f854382d8a6e536bb5e57aa5283bf40307f0db7",
+    )
+    assert (_digest(gnm.indptr), _digest(gnm.indices)) == (
+        "a427710e53c4514a90685751de8eb832d6b97979dde9a9767be5d50107572876",
+        "cf58f4f39b6442c745caed727e317b00cfef46180efbe6781f2e5b2e50735779",
+    )
+    # The cached gauss_next is returned first; then the stream resumes
+    # exactly where the two builds left it.
+    assert rng.gauss(0, 1) == 0.7051400254459932
+    assert rng.random() == 0.05525604708747833
+
+
+PATHS = ["csr-python"] + (["csr-native"] if _native.available() else [])
+
+
+@pytest.fixture(params=PATHS)
+def kernel(request, monkeypatch):
+    """Run the test on one kernel path (``REPRO_NO_NATIVE`` switches)."""
+    if request.param == "csr-python":
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    else:
+        monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def walked():
+    return barabasi_albert(3000, 2, rng=SEED)
+
+
+def _size_after_blocks(graph, sampler, seed, checkpoints):
+    session = sampler.start(graph, rng=seed)
+    blocks, _ = record_checkpoints(
+        session, "steps", checkpoints, FusedNeeds(visit_counts=True)
+    )
+    size = StreamingGraphSize(graph)
+    return [repr(size.absorb_block(block).num_vertices()) for block in blocks]
+
+
+def _size_after_drains(graph, backend, seed):
+    session = SingleRandomWalk(backend=backend).start(graph, rng=seed)
+    size = StreamingGraphSize(graph)
+    estimates = []
+    for steps in (700, 1800, 4000):
+        session.advance(steps - session.steps_taken)
+        estimates.append(repr(size.update(session.take_trace()).num_vertices()))
+    return estimates
+
+
+def test_size_estimates_are_pinned(kernel, walked):
+    fs = FrontierSampler(40, backend="csr")
+    mh = MetropolisHastingsWalk(backend="csr")
+    assert _size_after_blocks(walked, fs, 3, [600, 2000, 5000]) == [
+        "1537.6267486164363", "2160.5980590822596", "2690.0675972747526",
+    ]
+    assert _size_after_blocks(walked, mh, 4, [800, 2500, 6000]) == [
+        "236.16783646216484", "665.477013415803", "1200.7229102923839",
+    ]
+    assert _size_after_drains(walked, "csr", 5) == [
+        "1124.355966707434", "1828.4114421148895", "2349.168143909913",
+    ]
+    assert _size_after_drains(walked, "list", 6) == [
+        "1352.7237622815562", "2071.4453984070724", "2413.7919578576166",
+    ]
