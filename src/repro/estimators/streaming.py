@@ -530,12 +530,18 @@ class StreamingEdgeFunctional(StreamingEstimator):
 # ----------------------------------------------------------------------
 # graph size (Katzir-style collision counting)
 # ----------------------------------------------------------------------
+#: Below this many visits every collision product and sum is exact in
+#: int64: sum_v (p_v + c_v)^2 / 2 <= visits^2 / 2 < 2^63.
+_INT64_EXACT_VISITS = 1 << 31
+
+
 class StreamingGraphSize(StreamingEstimator):
     """Size accumulator: ``Psi_1``, ``Psi_2`` and vertex collisions.
 
-    Keeps per-vertex visit counts (O(distinct visited) state — far
-    below the step count on a mixing walk), so collisions *across*
-    increments are counted, exactly as the batch estimator sees them.
+    Keeps one int64 visit count per vertex and the running number of
+    colliding visit pairs, ``sum_v c_v (c_v - 1) / 2``, so collisions
+    *across* increments are counted, exactly as the batch estimator
+    sees them, and an estimate costs O(1).
     """
 
     def __init__(self, graph):
@@ -543,7 +549,17 @@ class StreamingGraphSize(StreamingEstimator):
         self._inverse_sum = 0.0
         self._degree_sum = 0.0
         self._samples = 0
-        self._visits: Dict[int, int] = {}
+        self._counts = np.zeros(graph.num_vertices, dtype=np.int64)
+        self._collisions = 0
+
+    def __setstate__(self, state: dict) -> None:
+        if not {"_counts", "_collisions"} <= state.keys():
+            raise ValueError(
+                "this StreamingGraphSize was pickled by another version of"
+                " the code, which kept its visits in a different layout;"
+                " it cannot be resumed, so start a new accumulator"
+            )
+        self.__dict__.update(state)
 
     def _update_array(self, trace) -> None:
         unique, counts = np.unique(trace.step_targets, return_counts=True)
@@ -559,9 +575,22 @@ class StreamingGraphSize(StreamingEstimator):
         weights = counts.astype(np.float64)
         self._inverse_sum += float((weights / degrees).sum())
         self._degree_sum += float((weights * degrees).sum())
+        self._add_visits(vertices, counts)
+
+    def _add_visits(self, vertices: np.ndarray, counts: np.ndarray) -> None:
+        """Add ``counts`` visits to the distinct ``vertices``: prior
+        counts ``p`` gain ``sum p * c + sum c (c - 1) / 2`` collisions."""
         self._samples += int(counts.sum())
-        for v, count in zip(vertices.tolist(), counts.tolist()):
-            self._visits[v] = self._visits.get(v, 0) + count
+        prior = self._counts[vertices]
+        if self._samples < _INT64_EXACT_VISITS:
+            added = int((prior * counts).sum() + (counts * (counts - 1) // 2).sum())
+        else:
+            added = sum(
+                p * c + c * (c - 1) // 2
+                for p, c in zip(prior.tolist(), counts.tolist())
+            )
+        self._collisions += added
+        self._counts[vertices] = prior + counts
 
     def fused_needs(self) -> Optional[FusedNeeds]:
         return FusedNeeds(visit_counts=True)
@@ -573,19 +602,19 @@ class StreamingGraphSize(StreamingEstimator):
 
     def _update_list(self, trace: WalkTrace) -> None:
         graph = self.graph
-        for v in trace.visited_vertices:
+        visited = trace.visited_vertices
+        for v in visited:
             degree = graph.degree(v)
             self._inverse_sum += 1.0 / degree
             self._degree_sum += degree
-            self._samples += 1
-            self._visits[v] = self._visits.get(v, 0) + 1
+        self._add_visits(
+            *np.unique(np.asarray(visited, dtype=np.int64), return_counts=True)
+        )
 
     def _statistics(self):
         if self._samples < 2:
             raise ValueError("need at least two samples to estimate size")
-        collisions = sum(
-            c * (c - 1) // 2 for c in self._visits.values()
-        )
+        collisions = self._collisions
         if collisions == 0:
             raise ValueError(
                 "no vertex collisions in the trace; increase the budget"

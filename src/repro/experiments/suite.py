@@ -113,10 +113,16 @@ def _family_ba(size: int, kwargs: Mapping[str, Any], seed: int):
     )
 
 
-def _family_er(size: int, kwargs: Mapping[str, Any], seed: int):
-    num_edges = max(
+def _er_num_edges(size: int, kwargs: Mapping[str, Any]) -> int:
+    """An ER scenario's edge count: ``size * avg_degree / 2``, and at
+    least ``size - 1`` so the graph can be connected."""
+    return max(
         size - 1, round(size * float(kwargs.get("avg_degree", 6.0)) / 2)
     )
+
+
+def _family_er(size: int, kwargs: Mapping[str, Any], seed: int):
+    num_edges = _er_num_edges(size, kwargs)
     if not kwargs.get("lcc", True):
         return erdos_renyi_gnm(size, num_edges, rng=seed)
     # Walkers cannot launch from isolated vertices; like the figure
@@ -139,11 +145,41 @@ def _family_ws(size: int, kwargs: Mapping[str, Any], seed: int):
     )
 
 
-#: family -> (builder, allowed kwargs)
-_FAMILIES: Dict[str, Tuple[Callable, frozenset]] = {
-    "ba": (_family_ba, frozenset({"edges_per_vertex"})),
-    "er": (_family_er, frozenset({"avg_degree", "lcc"})),
-    "ws": (_family_ws, frozenset({"neighbors", "rewire_prob"})),
+def _check_ba(size: int, kwargs: Mapping[str, Any]) -> Optional[Tuple[str, str]]:
+    k = int(kwargs.get("edges_per_vertex", 3))
+    if not 1 <= k < size:
+        return "edges_per_vertex", f"must be in [1, {size}) at size {size}, got {k}"
+    return None
+
+
+def _check_er(size: int, kwargs: Mapping[str, Any]) -> Optional[Tuple[str, str]]:
+    num_edges, most = _er_num_edges(size, kwargs), size * (size - 1) // 2
+    if num_edges > most:
+        return "avg_degree", (
+            f"gives {num_edges} edges at size {size}, more than the"
+            f" {most} a simple graph on {size} vertices has"
+        )
+    return None
+
+
+def _check_ws(size: int, kwargs: Mapping[str, Any]) -> Optional[Tuple[str, str]]:
+    neighbors = int(kwargs.get("neighbors", 6))
+    if neighbors % 2 or neighbors >= size:
+        return "neighbors", (
+            f"must be even and below the size, got {neighbors} at size {size}"
+        )
+    rewire_prob = float(kwargs.get("rewire_prob", 0.1))
+    if not 0.0 <= rewire_prob <= 1.0:
+        return "rewire_prob", f"must be in [0, 1], got {rewire_prob}"
+    return None
+
+
+#: family -> (builder, allowed kwargs, check).  A check returns the
+#: kwarg and the reason a size cannot be built with it, or ``None``.
+_FAMILIES: Dict[str, Tuple[Callable, frozenset, Callable]] = {
+    "ba": (_family_ba, frozenset({"edges_per_vertex"}), _check_ba),
+    "er": (_family_er, frozenset({"avg_degree", "lcc"}), _check_er),
+    "ws": (_family_ws, frozenset({"neighbors", "rewire_prob"}), _check_ws),
 }
 
 
@@ -321,7 +357,7 @@ class Scenario:
     seed: int
 
     def build_graph(self):
-        builder, _ = _FAMILIES[self.family]
+        builder, _, _ = _FAMILIES[self.family]
         return builder(self.size, self.graph_kwargs, self.graph_seed)
 
     def build_samplers(self) -> Dict[str, Any]:
@@ -583,7 +619,7 @@ def parse_suite(data: Any, source: str = "suite") -> SuiteSpec:
                 f"unknown graph family {family!r}"
                 f" (known: {', '.join(sorted(_FAMILIES))})",
             )
-        _, allowed_kwargs = _FAMILIES[family]
+        _, allowed_kwargs, check = _FAMILIES[family]
         kwargs = dict(
             _as_mapping(entry.get("kwargs", {}), f"{entry_path}.kwargs")
         )
@@ -597,6 +633,15 @@ def parse_suite(data: Any, source: str = "suite") -> SuiteSpec:
             _as_int(s, f"{entry_path}.sizes[{i}]", minimum=2)
             for i, s in enumerate(sizes)
         ]
+        for size in sizes:
+            try:
+                problem = check(size, kwargs)
+            except (TypeError, ValueError) as error:
+                raise SuiteSpecError(
+                    f"{entry_path}.kwargs", f"not a number: {error}"
+                ) from error
+            if problem is not None:
+                raise SuiteSpecError(f"{entry_path}.kwargs.{problem[0]}", problem[1])
         if "id" in entry and len(sizes) > 1:
             raise SuiteSpecError(
                 f"{entry_path}.id",

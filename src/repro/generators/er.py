@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from array import array
 from typing import Tuple
 
@@ -10,7 +11,8 @@ import numpy as np
 
 from repro.graph.csr import graph_from_edge_sequence
 from repro.graph.graph import Graph
-from repro.util.rng import RngLike, ensure_rng
+from repro.sampling import _native
+from repro.util.rng import RngLike, ensure_rng, randrange_on_words, run_on_words
 
 
 def erdos_renyi_gnp(num_vertices: int, p: float, rng: RngLike = None) -> Graph:
@@ -52,7 +54,9 @@ def gnm_edges(
     distinct edges in draw order, uniform over edge sets.
 
     Each edge is a pair of ``randrange`` draws; loops and repeats are
-    drawn again.
+    drawn again.  With native kernels and a plain
+    :class:`random.Random`, the loop runs in C on the generator's own
+    words and draws the same edges; the loop below is its reference.
     """
     max_edges = num_vertices * (num_vertices - 1) // 2
     if num_edges < 0 or num_edges > max_edges:
@@ -60,7 +64,10 @@ def gnm_edges(
             f"num_edges must be in [0, {max_edges}] for n={num_vertices},"
             f" got {num_edges}"
         )
-    randrange = ensure_rng(rng).randrange
+    generator = ensure_rng(rng)
+    if randrange_on_words(generator, num_vertices) and _native.available():
+        return _edges_on_words(num_vertices, num_edges, generator)
+    randrange = generator.randrange
     heads = array("q")
     tails = array("q")
     seen = set()
@@ -73,6 +80,27 @@ def gnm_edges(
             heads.append(u)
             tails.append(v)
     return np.frombuffer(heads, dtype=np.int64), np.frombuffer(tails, dtype=np.int64)
+
+
+def _edges_on_words(
+    num_vertices: int, num_edges: int, generator: random.Random
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The edges of the loop above, drawn by the native kernel."""
+    heads = np.empty(num_edges, dtype=np.int64)
+    tails = np.empty(num_edges, dtype=np.int64)
+    slots = 2
+    while slots <= 2 * num_edges:
+        slots *= 2
+    table = np.empty(slots, dtype=np.int64)
+    # A draw below n takes 2^bits / n words on average; dense graphs
+    # redraw many repeats and may run out, which only costs a re-run.
+    words_per_draw = (1 << num_vertices.bit_length()) / max(num_vertices, 1)
+    run_on_words(
+        generator,
+        int(2 * num_edges * words_per_draw * 1.05) + 1024,
+        lambda words: _native.gnm_edges(words, num_vertices, heads, tails, table),
+    )
+    return heads, tails
 
 
 def erdos_renyi_gnm(num_vertices: int, num_edges: int, rng: RngLike = None) -> Graph:

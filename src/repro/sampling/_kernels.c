@@ -1,4 +1,5 @@
-/* Native walker kernels over CSR arrays: one kernel per walk.
+/* Native walker kernels over CSR arrays: one kernel per walk, and two
+ * graph-generator kernels after them.
  *
  * Compiled on demand by repro/sampling/_native.py (cc -O2 -shared
  * -fPIC) and called through ctypes.  Every kernel consumes
@@ -59,6 +60,24 @@
  * A failing kernel has already folded the steps before the stuck one
  * into the caller's counts and walker state, so the caller must discard
  * them.
+ *
+ * Generator kernels.  repro_ba_attach and repro_gnm_edges run the draw
+ * loops of repro/generators/ba.py and er.py on the caller's own
+ * Mersenne Twister words (repro.util.rng.run_on_words), so they build
+ * the loops' graphs bit for bit.  Outputs, all caller-owned:
+ *
+ *   endpoints[2e], endpoints[2e + 1]
+ *                               BA: edge e's (head, tail), the seed
+ *                               star first, in the loop's append order
+ *   heads[e], tails[e]          G(n, m): edge e in draw order
+ *   table                       scratch: BA's emulated set table plus
+ *                               a spill for its resizes; G(n, m)'s
+ *                               open-addressing set of edge keys
+ *
+ * Each returns the number of words it consumed (>= 0); -1 when the
+ * words ran out, so the caller re-runs it on a longer prefix of the same
+ * stream; BA returns -2 when its set outgrows the scratch table.  They
+ * allocate nothing and keep no state between calls.
  */
 
 #include <stdint.h>
@@ -251,4 +270,155 @@ int64_t repro_mh_steps_acc(const int64_t *indptr, const int64_t *indices,
     }
     out_state[0] = current;
     return accepted;
+}
+
+/* Graph generators on the caller's Mersenne Twister words.
+ *
+ * `words` holds the 32-bit words the caller's random.Random would
+ * return from getrandbits(32) next, one per int64.  A draw below
+ * `range` is CPython's randrange(range) for range < 2^31: the word
+ * shifted right by 32 - range.bit_length(), drawn again while it is
+ * >= range.  Each kernel returns how many words it consumed, so the
+ * caller can advance its generator by exactly that many, or -1 when
+ * it needs more words than `num_words`; the caller then re-runs it on
+ * a longer prefix of the same stream. */
+
+static inline int shift_for(int64_t range) {
+    int bits = 0;
+    while (bits < 32 && (range >> bits) != 0)
+        bits++;
+    return 32 - bits;
+}
+
+static inline int64_t draw_below(const int64_t *words, int64_t num_words,
+                                 int64_t *next, int64_t range, int shift) {
+    while (*next < num_words) {
+        int64_t value = words[(*next)++] >> shift;
+        if (value < range)
+            return value;
+    }
+    return -1;
+}
+
+/* CPython's set table for non-negative int keys (a key is its own
+ * hash): first slot key & mask, then 9 linear probes when they fit,
+ * then perturb >>= 5; slot = (5 * slot + 1 + perturb) & mask.  -1
+ * marks a free slot.  Returns 1 when `key` was added, 0 when present. */
+static inline int set_add(int64_t *table, uint64_t mask, int64_t key) {
+    uint64_t perturb = (uint64_t)key;
+    uint64_t slot = (uint64_t)key & mask;
+    for (;;) {
+        int64_t *entry = table + slot;
+        int probes = slot + 9 <= mask ? 9 : 0;
+        do {
+            if (*entry < 0) {
+                *entry = key;
+                return 1;
+            }
+            if (*entry == key)
+                return 0;
+            entry++;
+        } while (probes--);
+        perturb >>= 5;
+        slot = (slot * 5 + 1 + perturb) & mask;
+    }
+}
+
+/* Barabasi-Albert attachment: the draw loop of
+ * repro.generators.ba.barabasi_albert.  Fills `endpoints` (length
+ * 2 * k * (num_vertices - k)) with every edge's (head, tail): the
+ * star on 0..k, then for each new vertex its k distinct targets, each
+ * picked at a uniform position of the endpoints written so far, in
+ * the order a Python set of them iterates.  `table` is the set's
+ * scratch: `table_size` slots (a power of two at least as large as
+ * the set ever grows), followed by k entries that hold its keys while
+ * it resizes.  The set starts at 8 slots and, after an insert that
+ * leaves used * 5 >= mask * 3, grows to the smallest power of two
+ * above 4 * used (2 * used past 50000), re-inserting its keys in
+ * slot order.  Returns the words consumed, -1 when they run out, or
+ * -2 when the set outgrows `table_size`. */
+int64_t repro_ba_attach(const int64_t *words, int64_t num_words,
+                        int64_t num_vertices, int64_t k, int64_t *endpoints,
+                        int64_t *table, int64_t table_size) {
+    int64_t *spill = table + table_size;
+    int64_t length = 0, next = 0;
+    for (int64_t v = 1; v <= k; v++) {
+        endpoints[length++] = 0;
+        endpoints[length++] = v;
+    }
+    for (int64_t vertex = k + 1; vertex < num_vertices; vertex++) {
+        int shift = shift_for(length);
+        int64_t size = 8, used = 0;
+        for (int64_t i = 0; i < size; i++)
+            table[i] = -1;
+        while (used < k) {
+            int64_t pick = draw_below(words, num_words, &next, length, shift);
+            if (pick < 0)
+                return -1;
+            if (!set_add(table, (uint64_t)(size - 1), endpoints[pick]))
+                continue;
+            used++;
+            if (used * 5 < (size - 1) * 3)
+                continue;
+            int64_t wanted = used > 50000 ? used * 2 : used * 4, kept = 0;
+            int64_t new_size = 8;
+            while (new_size <= wanted)
+                new_size *= 2;
+            if (new_size > table_size)
+                return -2;
+            for (int64_t i = 0; i < size; i++)
+                if (table[i] >= 0)
+                    spill[kept++] = table[i];
+            size = new_size;
+            for (int64_t i = 0; i < size; i++)
+                table[i] = -1;
+            for (int64_t i = 0; i < kept; i++)
+                set_add(table, (uint64_t)(size - 1), spill[i]);
+        }
+        for (int64_t i = 0; i < size; i++) {
+            if (table[i] >= 0) {
+                endpoints[length++] = vertex;
+                endpoints[length++] = table[i];
+            }
+        }
+    }
+    return next;
+}
+
+/* G(n, m) edges: the draw loop of repro.generators.er.gnm_edges.
+ * Each edge is a pair of draws below n; loops and repeats of an
+ * earlier edge are drawn again.  Writes the m edges in draw order to
+ * heads[e], tails[e].  `table` is an open-addressing set of the
+ * canonical keys min * n + max: `table_size` slots, a power of two
+ * of at least 2 and above m.  Returns the words consumed or -1 when they run out. */
+int64_t repro_gnm_edges(const int64_t *words, int64_t num_words,
+                        int64_t num_vertices, int64_t num_edges,
+                        int64_t *heads, int64_t *tails, int64_t *table,
+                        int64_t table_size) {
+    int64_t next = 0;
+    int shift = shift_for(num_vertices);
+    int hash_shift = 64;
+    for (int64_t i = 0; i < table_size; i++)
+        table[i] = -1;
+    for (int64_t size = table_size; size > 1; size /= 2)
+        hash_shift--;
+    for (int64_t e = 0; e < num_edges;) {
+        int64_t u = draw_below(words, num_words, &next, num_vertices, shift);
+        int64_t v = draw_below(words, num_words, &next, num_vertices, shift);
+        if (u < 0 || v < 0)
+            return -1;
+        if (u == v)
+            continue;
+        int64_t key = u < v ? u * num_vertices + v : v * num_vertices + u;
+        uint64_t slot = ((uint64_t)key * 0x9E3779B97F4A7C15ULL) >> hash_shift;
+        while (table[slot] >= 0 && table[slot] != key)
+            slot = (slot + 1) & (uint64_t)(table_size - 1);
+        if (table[slot] == key)
+            continue;
+        table[slot] = key;
+        heads[e] = u;
+        tails[e] = v;
+        e++;
+    }
+    return next;
 }

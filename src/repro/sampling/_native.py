@@ -92,6 +92,12 @@ _DECLARATIONS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
             "i64*", "i64*", "i64*", "i64*", "i64*", "i64*",
         ),
     ),
+    "repro_ba_attach": (
+        "i64", ("i64*", "i64", "i64", "i64", "i64*", "i64*", "i64"),
+    ),
+    "repro_gnm_edges": (
+        "i64", ("i64*", "i64", "i64", "i64", "i64*", "i64*", "i64*", "i64"),
+    ),
 }
 
 #: tri-state: None = not attempted yet; False = unavailable;
@@ -459,3 +465,42 @@ def mh_steps_acc(
         return int(out_state[0]), None
     edge_u, edge_v, visited = outputs
     return int(out_state[0]), (edge_u[:accepted], edge_v[:accepted], visited)
+
+
+def ba_attach(
+    words: np.ndarray, num_vertices: int, k: int, endpoints: np.ndarray,
+    table: np.ndarray,
+) -> int:
+    """Native BA attachment over the generator words ``words``.
+
+    Fills ``endpoints`` (``2 * k * (num_vertices - k)`` entries) as
+    :func:`repro.generators.ba.barabasi_albert`'s loop would; ``table``
+    holds a power-of-two set table followed by ``k`` spill entries.
+    Returns the words consumed, or -1 when ``words`` ran out.
+    """
+    status = _lib().repro_ba_attach(
+        _i64(words), words.size, num_vertices, k, _i64(endpoints),
+        _i64(table), table.size - k,
+    )
+    if status < -1:
+        raise RuntimeError(f"BA target set outgrew its {table.size - k} slots")
+    return int(status)
+
+
+def gnm_edges(
+    words: np.ndarray, num_vertices: int, heads: np.ndarray,
+    tails: np.ndarray, table: np.ndarray,
+) -> int:
+    """Native G(n, m) edge draws over the generator words ``words``.
+
+    Fills ``heads``/``tails`` (``m`` entries each) as
+    :func:`repro.generators.er.gnm_edges`'s loop would; ``table`` is
+    the power-of-two key set (at least 2 slots, more than ``m``).
+    Returns the words consumed, or -1 when ``words`` ran out.
+    """
+    return int(
+        _lib().repro_gnm_edges(
+            _i64(words), words.size, num_vertices, heads.size, _i64(heads),
+            _i64(tails), _i64(table), table.size,
+        )
+    )

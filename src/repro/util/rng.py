@@ -6,12 +6,16 @@ nondeterministic generator).  Experiments that need many independent
 replications derive *child* generators from a root seed so that each
 replication is reproducible in isolation and the whole experiment is
 reproducible end to end.
+
+Native generator kernels read the caller's own Mersenne Twister
+stream through :func:`run_on_words`, so a seeded graph and the
+caller's generator afterwards are the same on either path.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Union
+from typing import Callable, List, Union
 
 import numpy as np
 
@@ -25,6 +29,11 @@ NpRngLike = Union[int, random.Random, np.random.Generator, None]
 #: splitmix-style generators.
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+
+#: Words per ``getrandbits`` call when skipping consumed words.
+_SKIP_CHUNK = 1 << 16
+#: Ranges below this take one word per ``randrange`` try.
+_WORD_RANGE = 1 << 31
 
 
 def ensure_rng(rng: RngLike = None) -> random.Random:
@@ -106,3 +115,48 @@ def spawn_rngs(root_seed: int, count: int) -> List[random.Random]:
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     return [child_rng(root_seed, i) for i in range(count)]
+
+
+def randrange_on_words(rng: random.Random, largest: int) -> bool:
+    """Whether every ``rng.randrange(r)`` with ``r <= largest`` follows
+    the word rule the native generator kernels use: the next word's
+    top ``r.bit_length()`` bits, drawn again while they are ``>= r``.
+
+    That holds when ``rng`` is exactly a :class:`random.Random` (a
+    subclass may draw differently) and ``largest`` is below 2^31.
+    """
+    return type(rng) is random.Random and largest < _WORD_RANGE
+
+
+def run_on_words(
+    rng: random.Random, estimate: int, kernel: Callable[[np.ndarray], int]
+) -> None:
+    """Run ``kernel`` on ``rng``'s next 32-bit words, then advance
+    ``rng`` past exactly the words it consumed.
+
+    ``kernel(words)`` gets the words ``rng.getrandbits(32)`` would
+    return next, as int64, and returns how many it read, or a negative
+    count when it needs more; it is then run again from the start on
+    twice as many.  The words are read from a numpy ``MT19937`` set to
+    ``rng``'s key and position; ``getrandbits(32 * c)`` draws whole
+    words, so skipping them leaves ``rng``'s cached ``gauss_next``
+    alone.  The words are a prefix of one stream, so the result never
+    depends on ``estimate``.
+    """
+    _, internal, _ = rng.getstate()
+    bits = np.random.MT19937(0)
+    bits.state = {
+        "bit_generator": "MT19937",
+        "state": {
+            "key": np.array(internal[:-1], dtype=np.uint32),
+            "pos": internal[-1],
+        },
+    }
+    words = bits.random_raw(max(estimate, 1)).view(np.int64)
+    used = kernel(words)
+    while used < 0:
+        more = bits.random_raw(words.size).view(np.int64)
+        words = np.concatenate((words, more))
+        used = kernel(words)
+    for start in range(0, used, _SKIP_CHUNK):
+        rng.getrandbits(32 * min(_SKIP_CHUNK, used - start))

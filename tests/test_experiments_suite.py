@@ -8,6 +8,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from repro.experiments.report import (
     build_report,
@@ -140,6 +141,56 @@ class TestSpecValidation:
         bad.write_text("suite: [unclosed", encoding="utf-8")
         with pytest.raises(SuiteSpecError, match="invalid YAML"):
             load_suite(bad)
+
+    def test_unbuildable_graph_is_rejected_at_load(self, tmp_path):
+        # Both entries used to load, and the run failed only on reaching
+        # them, with an error that named no spec path.
+        data = base_spec()
+        data["graphs"] = [
+            {"family": "er", "sizes": [5], "kwargs": {"avg_degree": 6.0}},
+            {"family": "ba", "sizes": [3], "kwargs": {"edges_per_vertex": 3}},
+        ]
+        spec = tmp_path / "unbuildable.yaml"
+        spec.write_text(yaml.safe_dump(data), encoding="utf-8")
+        with pytest.raises(
+            SuiteSpecError,
+            match=r"graphs\[0\]\.kwargs\.avg_degree: gives 15 edges at size 5",
+        ):
+            load_suite(spec)
+        data["graphs"] = data["graphs"][1:]
+        with pytest.raises(
+            SuiteSpecError,
+            match=r"graphs\[0\]\.kwargs\.edges_per_vertex: .* at size 3, got 3",
+        ):
+            parse_suite(data)
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ({"family": "ba", "sizes": [60, 8], "kwargs": {"edges_per_vertex": 8}},
+             "edges_per_vertex"),
+            ({"family": "ba", "sizes": [60], "kwargs": {"edges_per_vertex": 0}},
+             "edges_per_vertex"),
+            ({"family": "ws", "sizes": [60], "kwargs": {"neighbors": 5}}, "neighbors"),
+            ({"family": "ws", "sizes": [6]}, "neighbors"),
+            ({"family": "ws", "sizes": [60], "kwargs": {"rewire_prob": 1.5}},
+             "rewire_prob"),
+        ],
+    )
+    def test_family_kwargs_are_checked_against_every_size(self, entry, key):
+        data = base_spec()
+        data["graphs"] = [entry]
+        with pytest.raises(SuiteSpecError, match=rf"graphs\[0\]\.kwargs\.{key}:"):
+            parse_suite(data)
+
+    def test_largest_buildable_graphs_still_load(self):
+        data = base_spec()
+        data["graphs"] = [
+            {"family": "er", "sizes": [7], "kwargs": {"avg_degree": 6.0}},
+            {"family": "ba", "sizes": [4], "kwargs": {"edges_per_vertex": 3}},
+            {"family": "ws", "sizes": [7], "kwargs": {"neighbors": 6}},
+        ]
+        assert parse_suite(data).scenario_ids() == ["er-n7", "ba-n4", "ws-n7"]
 
 
 class TestSeedDerivation:

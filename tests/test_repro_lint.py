@@ -596,7 +596,7 @@ class TestRuntimeSignatureCheck:
         prototypes = _cproto.parse_prototypes(source)
         assert set(prototypes) == {
             "repro_rw_steps_acc", "repro_fs_steps_acc",
-            "repro_mh_steps_acc",
+            "repro_mh_steps_acc", "repro_ba_attach", "repro_gnm_edges",
         }
         assert prototypes["repro_rw_steps_acc"].restype == "i64"
         assert prototypes["repro_fs_steps_acc"].argtypes[0] == "i64*"
