@@ -145,37 +145,42 @@ def _family_ws(size: int, kwargs: Mapping[str, Any], seed: int):
     )
 
 
-def _check_ba(size: int, kwargs: Mapping[str, Any]) -> Optional[Tuple[str, str]]:
+def _check_ba(size: int, kwargs: Mapping[str, Any], path: str) -> None:
     k = int(kwargs.get("edges_per_vertex", 3))
     if not 1 <= k < size:
-        return "edges_per_vertex", f"must be in [1, {size}) at size {size}, got {k}"
-    return None
+        raise SuiteSpecError(
+            f"{path}.edges_per_vertex",
+            f"must be in [1, {size}) at size {size}, got {k}",
+        )
 
 
-def _check_er(size: int, kwargs: Mapping[str, Any]) -> Optional[Tuple[str, str]]:
+def _check_er(size: int, kwargs: Mapping[str, Any], path: str) -> None:
     num_edges, most = _er_num_edges(size, kwargs), size * (size - 1) // 2
     if num_edges > most:
-        return "avg_degree", (
+        raise SuiteSpecError(
+            f"{path}.avg_degree",
             f"gives {num_edges} edges at size {size}, more than the"
-            f" {most} a simple graph on {size} vertices has"
+            f" {most} a simple graph on {size} vertices has",
         )
-    return None
 
 
-def _check_ws(size: int, kwargs: Mapping[str, Any]) -> Optional[Tuple[str, str]]:
+def _check_ws(size: int, kwargs: Mapping[str, Any], path: str) -> None:
     neighbors = int(kwargs.get("neighbors", 6))
     if neighbors % 2 or neighbors >= size:
-        return "neighbors", (
-            f"must be even and below the size, got {neighbors} at size {size}"
+        raise SuiteSpecError(
+            f"{path}.neighbors",
+            f"must be even and below the size, got {neighbors} at size {size}",
         )
     rewire_prob = float(kwargs.get("rewire_prob", 0.1))
     if not 0.0 <= rewire_prob <= 1.0:
-        return "rewire_prob", f"must be in [0, 1], got {rewire_prob}"
-    return None
+        raise SuiteSpecError(
+            f"{path}.rewire_prob", f"must be in [0, 1], got {rewire_prob}"
+        )
 
 
-#: family -> (builder, allowed kwargs, check).  A check returns the
-#: kwarg and the reason a size cannot be built with it, or ``None``.
+#: family -> (builder, allowed kwargs, check).  A check raises a
+#: :class:`SuiteSpecError` under its kwargs path when a size cannot be
+#: built with them.
 _FAMILIES: Dict[str, Tuple[Callable, frozenset, Callable]] = {
     "ba": (_family_ba, frozenset({"edges_per_vertex"}), _check_ba),
     "er": (_family_er, frozenset({"avg_degree", "lcc"}), _check_er),
@@ -635,13 +640,13 @@ def parse_suite(data: Any, source: str = "suite") -> SuiteSpec:
         ]
         for size in sizes:
             try:
-                problem = check(size, kwargs)
+                check(size, kwargs, f"{entry_path}.kwargs")
+            except SuiteSpecError:
+                raise
             except (TypeError, ValueError) as error:
                 raise SuiteSpecError(
                     f"{entry_path}.kwargs", f"not a number: {error}"
                 ) from error
-            if problem is not None:
-                raise SuiteSpecError(f"{entry_path}.kwargs.{problem[0]}", problem[1])
         if "id" in entry and len(sizes) > 1:
             raise SuiteSpecError(
                 f"{entry_path}.id",

@@ -40,9 +40,8 @@ def barabasi_albert(num_vertices: int, edges_per_vertex: int, rng: RngLike = Non
             f" got {num_vertices}"
         )
     generator = ensure_rng(rng)
-    if randrange_on_words(generator, 2 * k * (num_vertices - k - 1)) and (
-        _native.available()
-    ):
+    largest_range = 2 * k * (num_vertices - k - 1)
+    if randrange_on_words(generator, largest_range) and _native.available():
         ends = _attach_on_words(num_vertices, k, generator)
         return graph_from_edge_sequence(ends[0::2], ends[1::2], num_vertices)
     randrange = generator.randrange

@@ -342,6 +342,8 @@ int64_t repro_ba_attach(const int64_t *words, int64_t num_words,
                         int64_t *table, int64_t table_size) {
     int64_t *spill = table + table_size;
     int64_t length = 0, next = 0;
+    if (table_size < 8)
+        return -2;
     for (int64_t v = 1; v <= k; v++) {
         endpoints[length++] = 0;
         endpoints[length++] = v;

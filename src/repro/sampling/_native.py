@@ -478,6 +478,8 @@ def ba_attach(
     holds a power-of-two set table followed by ``k`` spill entries.
     Returns the words consumed, or -1 when ``words`` ran out.
     """
+    if endpoints.size != 2 * k * (num_vertices - k) or table.size <= k:
+        raise ValueError("BA kernel buffers do not match the graph size")
     status = _lib().repro_ba_attach(
         _i64(words), words.size, num_vertices, k, _i64(endpoints),
         _i64(table), table.size - k,
@@ -498,6 +500,9 @@ def gnm_edges(
     the power-of-two key set (at least 2 slots, more than ``m``).
     Returns the words consumed, or -1 when ``words`` ran out.
     """
+    slots = table.size
+    if tails.size != heads.size or slots <= max(heads.size, 1) or slots & (slots - 1):
+        raise ValueError("G(n, m) kernel buffers do not match the edge count")
     return int(
         _lib().repro_gnm_edges(
             _i64(words), words.size, num_vertices, heads.size, _i64(heads),

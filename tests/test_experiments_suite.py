@@ -183,6 +183,13 @@ class TestSpecValidation:
         with pytest.raises(SuiteSpecError, match=rf"graphs\[0\]\.kwargs\.{key}:"):
             parse_suite(data)
 
+    @pytest.mark.parametrize("value", ["two", None])
+    def test_non_numeric_family_kwarg_names_the_path(self, value):
+        data = base_spec()
+        data["graphs"][0]["kwargs"] = {"edges_per_vertex": value}
+        with pytest.raises(SuiteSpecError, match=r"graphs\[0\]\.kwargs: not a number"):
+            parse_suite(data)
+
     def test_largest_buildable_graphs_still_load(self):
         data = base_spec()
         data["graphs"] = [
