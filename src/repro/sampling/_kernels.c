@@ -278,10 +278,7 @@ int64_t repro_mh_steps_acc(const int64_t *indptr, const int64_t *indices,
  * return from getrandbits(32) next, one per int64.  A draw below
  * `range` is CPython's randrange(range) for range < 2^31: the word
  * shifted right by 32 - range.bit_length(), drawn again while it is
- * >= range.  Each kernel returns how many words it consumed, so the
- * caller can advance its generator by exactly that many, or -1 when
- * it needs more words than `num_words`; the caller then re-runs it on
- * a longer prefix of the same stream. */
+ * >= range. */
 
 static inline int shift_for(int64_t range) {
     int bits = 0;
@@ -392,7 +389,8 @@ int64_t repro_ba_attach(const int64_t *words, int64_t num_words,
  * earlier edge are drawn again.  Writes the m edges in draw order to
  * heads[e], tails[e].  `table` is an open-addressing set of the
  * canonical keys min * n + max: `table_size` slots, a power of two
- * of at least 2 and above m.  Returns the words consumed or -1 when they run out. */
+ * of at least 2 and above m.  Returns the words consumed or -1 when
+ * they run out. */
 int64_t repro_gnm_edges(const int64_t *words, int64_t num_words,
                         int64_t num_vertices, int64_t num_edges,
                         int64_t *heads, int64_t *tails, int64_t *table,
