@@ -16,18 +16,16 @@ Estimators for independent vertex samples (plain empirical averages)
 live alongside their RW counterparts so experiment code can treat both
 uniformly.
 
-Every ``*_from_trace`` function is backend-aware: handed an
-array-backed trace from the csr engine
-(:class:`~repro.sampling.vectorized.ArrayWalkTrace`), it runs the
-vectorized numpy implementation in
-:mod:`repro.estimators._vectorized`; handed a list-backed
-:class:`~repro.sampling.base.WalkTrace`, it runs the original
-tuple loop.  The two paths agree to ~1e-12.
-
-For anytime estimation over incremental sampling sessions, the
-``Streaming*`` accumulators in :mod:`repro.estimators.streaming`
-consume trace *increments* (``session.take_trace()``) in O(chunk) and
-agree with their batch twins to ≤1e-12.
+Each statistic is implemented once, as a ``Streaming*`` accumulator in
+:mod:`repro.estimators.streaming`, and every ``*_from_trace`` function
+is one ``update`` of its accumulator followed by a read.  An
+accumulator runs a tuple loop over a list-backed
+:class:`~repro.sampling.base.WalkTrace` and reduces an array-backed
+:class:`~repro.sampling.vectorized.ArrayWalkTrace` to the same counts a
+fused block carries; the two agree to ~1e-12.  For anytime estimation
+over incremental sampling sessions, the accumulators also consume
+trace *increments* (``session.take_trace()``) in O(chunk) and fused
+blocks, and agree with the one-shot estimate to ≤1e-12.
 """
 
 from repro.estimators.assortativity import (
@@ -61,8 +59,11 @@ from repro.estimators.functionals import (
     weighted_vertex_sums,
 )
 from repro.estimators.streaming import (
+    StreamingAssortativity,
     StreamingAverageDegree,
+    StreamingClustering,
     StreamingDegreePMF,
+    StreamingDirectedAssortativity,
     StreamingEdgeDensity,
     StreamingEdgeFunctional,
     StreamingEstimator,
@@ -77,8 +78,11 @@ from repro.estimators.vertex_density import (
 )
 
 __all__ = [
+    "StreamingAssortativity",
     "StreamingAverageDegree",
+    "StreamingClustering",
     "StreamingDegreePMF",
+    "StreamingDirectedAssortativity",
     "StreamingEdgeDensity",
     "StreamingEdgeFunctional",
     "StreamingEstimator",

@@ -17,38 +17,13 @@ Two variants:
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Tuple
-
-from repro.estimators import _vectorized
+from repro.estimators.streaming import (
+    StreamingAssortativity,
+    StreamingDirectedAssortativity,
+)
 from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph
 from repro.sampling.base import WalkTrace
-
-
-def _pearson_from_pairs(pairs: Iterable[Tuple[float, float]]) -> float:
-    """Pearson correlation of an iterable of (x, y) observations."""
-    n = 0
-    sum_x = sum_y = sum_xx = sum_yy = sum_xy = 0.0
-    for x, y in pairs:
-        n += 1
-        sum_x += x
-        sum_y += y
-        sum_xx += x * x
-        sum_yy += y * y
-        sum_xy += x * y
-    if n == 0:
-        raise ValueError("no edge samples in E*; cannot estimate r")
-    mean_x = sum_x / n
-    mean_y = sum_y / n
-    var_x = sum_xx / n - mean_x * mean_x
-    var_y = sum_yy / n - mean_y * mean_y
-    if var_x <= 0 or var_y <= 0:
-        # All sampled endpoints share one degree: correlation undefined;
-        # the paper requires sigma_in, sigma_out > 0.  Report 0 so runs
-        # over degree-regular subgraphs degrade gracefully.
-        return 0.0
-    return (sum_xy / n - mean_x * mean_y) / math.sqrt(var_x * var_y)
 
 
 def assortativity_from_trace(graph: Graph, trace: WalkTrace) -> float:
@@ -59,12 +34,7 @@ def assortativity_from_trace(graph: Graph, trace: WalkTrace) -> float:
     matches the symmetric true value computed over both orientations of
     every edge.
     """
-    if _vectorized.is_array_trace(trace):
-        return _vectorized.assortativity(graph, trace)
-    return _pearson_from_pairs(
-        (float(graph.degree(u)), float(graph.degree(v)))
-        for u, v in trace.edges
-    )
+    return StreamingAssortativity(graph).update(trace).estimate()
 
 
 def directed_assortativity_from_trace(
@@ -76,12 +46,4 @@ def directed_assortativity_from_trace(
     ``(u, v)`` is relevant iff the arc exists in ``G_d``; its label is
     ``(outdeg(u), indeg(v))`` per Section 4.2.2.
     """
-    if _vectorized.is_array_trace(trace):
-        return _vectorized.directed_assortativity(digraph, trace)
-
-    def labeled_pairs():
-        for u, v in trace.edges:
-            if digraph.has_edge(u, v):
-                yield float(digraph.out_degree(u)), float(digraph.in_degree(v))
-
-    return _pearson_from_pairs(labeled_pairs())
+    return StreamingDirectedAssortativity(digraph).update(trace).estimate()

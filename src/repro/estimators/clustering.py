@@ -26,18 +26,11 @@ corrected weight, which is what Corollary 4.2's statement requires.
 
 from __future__ import annotations
 
-from repro.estimators import _vectorized
+from repro.estimators.streaming import StreamingClustering, shared_neighbors
 from repro.graph.graph import Graph
 from repro.sampling.base import WalkTrace
 
-
-def shared_neighbors(graph: Graph, u: int, v: int) -> int:
-    """``|N(u) ∩ N(v)|`` — iterate the smaller adjacency set."""
-    set_u = graph.neighbor_set(u)
-    set_v = graph.neighbor_set(v)
-    if len(set_u) > len(set_v):
-        set_u, set_v = set_v, set_u
-    return sum(1 for w in set_u if w in set_v)
+__all__ = ["global_clustering_from_trace", "shared_neighbors"]
 
 
 def global_clustering_from_trace(graph: Graph, trace: WalkTrace) -> float:
@@ -47,26 +40,5 @@ def global_clustering_from_trace(graph: Graph, trace: WalkTrace) -> float:
     first endpoint (in steady state the orientation is uniform).
     Samples whose first endpoint has degree < 2 contribute to neither
     sum: such a vertex is outside ``V*`` and cannot close a triangle.
-
-    Array-backed traces run the shared-neighbor lookup once per
-    distinct sampled edge (:mod:`repro.estimators._vectorized`).
     """
-    if _vectorized.is_array_trace(trace):
-        return _vectorized.global_clustering(graph, trace)
-    if not trace.edges:
-        raise ValueError("empty trace; cannot form the estimate")
-    weighted = 0.0
-    normalizer = 0.0
-    for v, u in trace.edges:
-        deg_v = graph.degree(v)
-        if deg_v < 2:
-            continue
-        pairs = deg_v * (deg_v - 1) / 2.0
-        weighted += shared_neighbors(graph, v, u) / (2.0 * pairs)
-        normalizer += 1.0 / deg_v
-    if normalizer == 0.0:
-        raise ValueError(
-            "no sampled edge touches a vertex of degree >= 2;"
-            " clustering is undefined on this trace"
-        )
-    return weighted / normalizer
+    return StreamingClustering(graph).update(trace).estimate()

@@ -7,33 +7,20 @@ a walker on the symmetric graph ``G`` visits ``v`` proportionally to
 ``deg_G(v)`` even when the quantity of interest is ``indeg_{G_d}(v)``.
 
 All estimators return dense dicts over ``0 .. max_observed`` so CCDFs
-and error curves line up across methods.
-
-Array-backed traces (the csr backend's
-:class:`~repro.sampling.vectorized.ArrayWalkTrace`) dispatch to the
-numpy weighted-histogram implementation in
-:mod:`repro.estimators._vectorized`; list-backed traces keep the
-original tuple loop.  Both paths agree to ~1e-12.
+and error curves line up across methods; a negative degree label
+raises :class:`ValueError` instead of losing its mass.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence
 
-from repro.estimators import _vectorized
+from repro.estimators.streaming import StreamingDegreePMF, _dense
 from repro.graph.graph import Graph
 from repro.sampling.base import WalkTrace
 from repro.util.stats import ccdf_from_pmf
 
 DegreeOf = Callable[[int], int]
-
-
-def _dense(pmf: Dict[int, float]) -> Dict[int, float]:
-    """Zero-fill the pmf on ``0 .. max(support)``."""
-    if not pmf:
-        raise ValueError("empty pmf")
-    top = max(pmf)
-    return {k: pmf.get(k, 0.0) for k in range(top + 1)}
 
 
 def degree_pmf_from_trace(
@@ -47,19 +34,7 @@ def degree_pmf_from_trace(
     symmetric walking degree).  The reweighting always uses the
     symmetric degree — that is the visit bias, whatever the label.
     """
-    if _vectorized.is_array_trace(trace):
-        return _vectorized.degree_pmf(graph, trace, degree_of)
-    if not trace.edges:
-        raise ValueError("empty trace; cannot form the estimate")
-    label = degree_of if degree_of is not None else graph.degree
-    weighted: Dict[int, float] = {}
-    normalizer = 0.0
-    for _, v in trace.edges:
-        inv_deg = 1.0 / graph.degree(v)
-        normalizer += inv_deg
-        key = label(v)
-        weighted[key] = weighted.get(key, 0.0) + inv_deg
-    return _dense({k: w / normalizer for k, w in weighted.items()})
+    return StreamingDegreePMF(graph, degree_of).update(trace).estimate()
 
 
 def degree_ccdf_from_trace(

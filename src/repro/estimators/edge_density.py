@@ -4,16 +4,13 @@
 Because a stationary RW samples edges uniformly, the estimator is the
 plain average of the label indicator over sampled edges restricted to
 the labeled subset ``E*``.
-
-Array-backed traces dispatch to :mod:`repro.estimators._vectorized`,
-which performs the labeling lookups once per distinct sampled edge.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable
 
-from repro.estimators import _vectorized
+from repro.estimators.streaming import StreamingEdgeDensity
 from repro.graph.labels import EdgeLabeling
 from repro.sampling.base import WalkTrace
 
@@ -32,21 +29,7 @@ def edge_label_density_from_trace(
     ``(u, v)`` is looked up as sampled; labelings that label only the
     original directed edges implement the paper's ``E* = E_d``.
     """
-    if _vectorized.is_array_trace(trace):
-        return _vectorized.edge_label_density(trace, labeling, label)
-    hits = 0
-    relevant = 0
-    for u, v in trace.edges:
-        if not labeling.is_labeled((u, v)):
-            continue
-        relevant += 1
-        if labeling.has_label((u, v), label):
-            hits += 1
-    if relevant == 0:
-        raise ValueError(
-            "no sampled edge carries any label; cannot form the estimate"
-        )
-    return hits / relevant
+    return StreamingEdgeDensity(labeling, [label]).update(trace).estimate()[label]
 
 
 def edge_label_densities_from_trace(
@@ -55,22 +38,4 @@ def edge_label_densities_from_trace(
     labels: Iterable[Label],
 ) -> Dict[Label, float]:
     """Estimate many edge label densities in one pass."""
-    label_list = list(labels)
-    if _vectorized.is_array_trace(trace):
-        return _vectorized.edge_label_densities(trace, labeling, label_list)
-    wanted = set(label_list)
-    hits: Dict[Label, int] = {label: 0 for label in label_list}
-    relevant = 0
-    for u, v in trace.edges:
-        edge_labels = labeling.labels_of((u, v))
-        if not edge_labels:
-            continue
-        relevant += 1
-        for label in edge_labels:
-            if label in wanted:
-                hits[label] += 1
-    if relevant == 0:
-        raise ValueError(
-            "no sampled edge carries any label; cannot form the estimate"
-        )
-    return {label: hits[label] / relevant for label in label_list}
+    return StreamingEdgeDensity(labeling, labels).update(trace).estimate()

@@ -9,17 +9,16 @@ Everything in Section 4.2 is an instance of two templates:
   average of ``g(v)`` over visited vertices converges to the uniform
   vertex average of ``g`` (importance sampling against the
   degree-biased stationary law).
-
-Array-backed traces dispatch to :mod:`repro.estimators._vectorized`,
-which evaluates ``f``/``g`` once per distinct edge/vertex and does the
-reweighting in numpy.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
-from repro.estimators import _vectorized
+from repro.estimators.streaming import (
+    StreamingEdgeFunctional,
+    StreamingVertexFunctional,
+)
 from repro.graph.graph import Graph
 from repro.sampling.base import WalkTrace
 
@@ -40,20 +39,7 @@ def edge_functional_from_trace(
     undefined with zero relevant samples (``B* = 0``), and silently
     returning 0 would bias downstream error statistics.
     """
-    if _vectorized.is_array_trace(trace):
-        return _vectorized.edge_functional(trace, f, membership)
-    total = 0.0
-    count = 0
-    for u, v in trace.edges:
-        if membership is not None and not membership(u, v):
-            continue
-        total += f(u, v)
-        count += 1
-    if count == 0:
-        raise ValueError(
-            "no sampled edges fall in E*; cannot form the estimate"
-        )
-    return total / count
+    return StreamingEdgeFunctional(f, membership).update(trace).estimate()
 
 
 def vertex_functional_from_trace(
@@ -68,17 +54,7 @@ def vertex_functional_from_trace(
     ``|V| / |E|`` — the paper reports ``|E|`` but on the symmetric graph
     the denominator is ``vol(V) = 2|E|``; the ratio cancels either way).
     """
-    if _vectorized.is_array_trace(trace):
-        return _vectorized.vertex_functional(graph, trace, g)
-    if not trace.edges:
-        raise ValueError("empty trace; cannot form the estimate")
-    weighted = 0.0
-    normalizer = 0.0
-    for _, v in trace.edges:
-        inv_deg = 1.0 / graph.degree(v)
-        weighted += g(v) * inv_deg
-        normalizer += inv_deg
-    return weighted / normalizer
+    return StreamingVertexFunctional(graph, g).update(trace).estimate()
 
 
 def weighted_vertex_sums(
@@ -88,14 +64,6 @@ def weighted_vertex_sums(
 
     Exposed for estimators (degree distributions) that share one
     normalizer across many labels and for incremental sample-path
-    plots (Figures 6 and 9).
+    plots (Figures 6 and 9).  An empty trace gives ``(0.0, 0.0)``.
     """
-    if _vectorized.is_array_trace(trace):
-        return _vectorized.weighted_vertex_sums(graph, trace, g)
-    weighted = 0.0
-    normalizer = 0.0
-    for _, v in trace.edges:
-        inv_deg = 1.0 / graph.degree(v)
-        weighted += g(v) * inv_deg
-        normalizer += inv_deg
-    return weighted, normalizer
+    return StreamingVertexFunctional(graph, g).update(trace).sums()

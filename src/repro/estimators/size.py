@@ -23,34 +23,9 @@ Both are asymptotically unbiased for a stationary walk; accuracy needs
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Tuple
-
-from repro.estimators import _vectorized
+from repro.estimators.streaming import StreamingGraphSize
 from repro.graph.graph import Graph
 from repro.sampling.base import WalkTrace
-
-
-def _collision_statistics(
-    graph: Graph, trace: WalkTrace
-) -> Tuple[float, float, int, int]:
-    """(Psi_1, Psi_2, collisions, B) over the visited-vertex sequence."""
-    if _vectorized.is_array_trace(trace):
-        return _vectorized.collision_statistics(graph, trace)
-    visited = trace.visited_vertices
-    b = len(visited)
-    if b < 2:
-        raise ValueError("need at least two samples to estimate size")
-    inv_sum = 0.0
-    deg_sum = 0.0
-    counts = Counter()
-    for v in visited:
-        degree = graph.degree(v)
-        inv_sum += 1.0 / degree
-        deg_sum += degree
-        counts[v] += 1
-    collisions = sum(c * (c - 1) // 2 for c in counts.values())
-    return inv_sum / b, deg_sum / b, collisions, b
 
 
 def estimate_num_vertices(graph: Graph, trace: WalkTrace) -> float:
@@ -59,27 +34,14 @@ def estimate_num_vertices(graph: Graph, trace: WalkTrace) -> float:
     Raises if the trace produced no vertex collisions — the walk was
     too short relative to the graph and no finite estimate exists.
     """
-    psi_1, psi_2, collisions, b = _collision_statistics(graph, trace)
-    if collisions == 0:
-        raise ValueError(
-            "no vertex collisions in the trace; increase the budget"
-            " (need B on the order of sqrt(|V|))"
-        )
-    pairs = b * (b - 1) / 2.0
-    return psi_1 * psi_2 * pairs / collisions
+    return StreamingGraphSize(graph).update(trace).num_vertices()
 
 
 def estimate_volume(graph: Graph, trace: WalkTrace) -> float:
     """Estimate ``vol(V) = 2|E|`` from the same collision statistics."""
-    _, psi_2, collisions, b = _collision_statistics(graph, trace)
-    if collisions == 0:
-        raise ValueError(
-            "no vertex collisions in the trace; increase the budget"
-        )
-    pairs = b * (b - 1) / 2.0
-    return psi_2 * pairs / collisions
+    return StreamingGraphSize(graph).update(trace).volume()
 
 
 def estimate_num_edges(graph: Graph, trace: WalkTrace) -> float:
     """Estimate ``|E|`` (undirected edge count)."""
-    return estimate_volume(graph, trace) / 2.0
+    return StreamingGraphSize(graph).update(trace).num_edges()

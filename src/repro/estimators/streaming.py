@@ -1,11 +1,12 @@
-"""Streaming estimators — accumulators over session trace increments.
+"""Streaming estimators — one accumulator per statistic.
 
-The batch ``*_from_trace`` estimators need the whole trace in memory.
-These accumulators consume *increments* instead — the chunks a
-:class:`~repro.sampling.session.SamplerSession` hands out via
-``take_trace()`` — in O(chunk) time and O(state) memory, so estimates
-can track an anytime walk over a graph (or a trace) too large to
-materialize:
+Every estimator of Section 4.2 is a ratio of running sums, implemented
+once, as an accumulator here; each batch ``*_from_trace`` function is
+one :meth:`StreamingEstimator.update` of its accumulator and a read.
+Sessions feed the same accumulators trace *increments*
+(``session.take_trace()``) in O(chunk) time and O(state) memory, so
+estimates can track an anytime walk over a graph (or a trace) too large
+to materialize:
 
     session = sampler.start(graph, rng=7)
     pmf = StreamingDegreePMF(graph)
@@ -14,40 +15,34 @@ materialize:
         pmf.update(session.take_trace())
     estimate = pmf.estimate()
 
-Every accumulator is the running-sums decomposition of its batch twin:
-eq. (7)'s reweighted estimators keep ``(sum g(v)/deg(v), sum 1/deg(v))``,
+Eq. (7)'s reweighted estimators keep ``(sum g(v)/deg(v), sum 1/deg(v))``,
 eq. (9)/(5)'s edge estimators keep ``(sum f, relevant count)``, and the
-size estimator keeps the collision statistics.  Array-backed increments
-(:class:`~repro.sampling.vectorized.ArrayWalkTrace`) run through the
-same numpy kernels as :mod:`repro.estimators._vectorized`; list-backed
-increments run the tuple loops.  Either way the final estimate matches
-the batch estimator on the concatenated trace to ≤1e-12 (only float
+size estimator keeps the collision statistics.  A list-backed increment
+runs the accumulator's tuple loop.  An array-backed one
+(:class:`~repro.sampling.vectorized.ArrayWalkTrace`) is reduced to the
+counts a :class:`~repro.sampling.fused.FusedBlock` carries — visit
+counts, or the distinct sampled edges with their multiplicities — and
+meets a block (:meth:`~StreamingEstimator.absorb_block`, filled by the
+walk kernels) in one count consumer per statistic.  Fused and drained
+runs therefore produce **bit-identical** estimates; a trace split into
+increments agrees with the one-shot estimate to ≤1e-12 (only float
 summation association differs), which the parity tests pin down.
-
-Fused blocks: accumulators that need only the eq. (7)/(9) sufficient
-statistics also absorb a
-:class:`~repro.sampling.fused.FusedBlock` — the exact-integer
-(degree-count / visit-count / edge-key) record the walk kernels
-fill while advancing a session — via :meth:`absorb_block`.  Such an
-accumulator advertises its block requirements through
-:meth:`fused_needs`; the array-backed drain path and the block path
-deliberately share one count-based float reduction per estimator
-(``count / degree`` summed over distinct values), so fused and drained
-runs produce **bit-identical** estimates, not merely 1e-12-close ones.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, Hashable, Optional, Sequence
+import math
+from collections import OrderedDict
+from typing import Callable, Dict, Hashable, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.estimators import _vectorized
-from repro.estimators.degree import _dense
+from repro.graph.csr import CSRGraph
 from repro.graph.labels import EdgeLabeling, VertexLabeling
 from repro.sampling.base import VertexTrace, WalkTrace
 from repro.sampling.fused import FusedBlock, FusedNeeds
+from repro.sampling.vectorized import ArrayWalkTrace
 from repro.util.stats import ccdf_from_pmf
 
 Label = Hashable
@@ -56,22 +51,126 @@ EdgeFunction = Callable[[int, int], float]
 EdgePredicate = Callable[[int, int], bool]
 VertexFunction = Callable[[int], float]
 
+_NO_SAMPLES = "no samples consumed (empty trace); cannot form the estimate"
 
+
+# ----------------------------------------------------------------------
+# graph lookups and count reductions
+# ----------------------------------------------------------------------
+#: Versions retained in each adjacency-list graph's degree-array LRU.
+#: Estimators that interleave a couple of graph snapshots (e.g. an
+#: evolving-graph sweep alternating between two versions) stay cached;
+#: a long mutate-estimate loop holds at most this many O(n) arrays
+#: instead of growing without bound.
+_DEGREE_CACHE_VERSIONS = 4
+
+
+def degrees_of(graph) -> np.ndarray:
+    """The degree sequence as an int64 array, cached per graph version.
+
+    :class:`CSRGraph` computes it as one ``diff``; for an
+    adjacency-list :class:`~repro.graph.graph.Graph` the converted
+    array is cached on the instance in a small per-version LRU (keyed
+    by its mutation counter, like the CSR cache) so repeated estimator
+    calls don't re-pay the list-to-array copy.  The LRU keeps the
+    :data:`_DEGREE_CACHE_VERSIONS` most recently used versions, so the
+    cache stays O(1) arrays even when the graph mutates between calls.
+    """
+    if isinstance(graph, CSRGraph):
+        return graph.degrees()
+    cache = getattr(graph, "_degree_array_cache", None)
+    if not isinstance(cache, OrderedDict):
+        cache = OrderedDict()
+        graph._degree_array_cache = cache
+    version = graph.version
+    array = cache.get(version)
+    if array is None:
+        array = np.asarray(graph.degrees(), dtype=np.int64)
+        cache[version] = array
+        while len(cache) > _DEGREE_CACHE_VERSIONS:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(version)
+    return array
+
+
+def shared_neighbors(graph, u: int, v: int) -> int:
+    """``|N(u) ∩ N(v)|`` on a :class:`~repro.graph.graph.Graph` or a
+    :class:`CSRGraph`; on a ``Graph`` it iterates the smaller set."""
+    if isinstance(graph, CSRGraph):
+        return int(np.intersect1d(graph.neighbors(u), graph.neighbors(v)).size)
+    set_u = graph.neighbor_set(u)
+    set_v = graph.neighbor_set(v)
+    if len(set_u) > len(set_v):
+        set_u, set_v = set_v, set_u
+    return sum(1 for w in set_u if w in set_v)
+
+
+def _unique_edges(
+    sources: np.ndarray, targets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct directed edges of the trace with their multiplicities.
+
+    Returns ``(unique_sources, unique_targets, counts)``, sorted by
+    ``(u, v)``.  Edges are keyed as ``u * base + v`` in int64, which
+    cannot overflow for any graph whose CSR arrays fit in memory.
+    """
+    base = int(targets.max()) + 1
+    keys = sources * np.int64(base) + targets
+    unique, counts = np.unique(keys, return_counts=True)
+    return unique // base, unique % base, counts
+
+
+def _decode_edge_keys(block: FusedBlock):
+    """Distinct edges of a block, in :func:`_unique_edges`'s order.
+
+    Keys are ``u * key_base + v`` with ``key_base = num_vertices``;
+    ``np.unique`` therefore yields the edges sorted by ``(u, v)`` — the
+    sequence :func:`_unique_edges` produces from the step arrays (its
+    base differs, but any base above the maximum target sorts keys
+    identically), so per-edge float accumulation happens in exactly the
+    same order on both paths.
+    """
+    unique, counts = np.unique(block.edge_key_array(), return_counts=True)
+    base = np.int64(block.key_base)
+    return unique // base, unique % base, counts
+
+
+def _check_degree_label(label: int) -> None:
+    if label < 0:
+        raise ValueError(
+            f"degree label {label} is negative; a degree PMF is dense on"
+            " 0 .. max and would drop its mass"
+        )
+
+
+def _dense(pmf: Dict[int, float]) -> Dict[int, float]:
+    """Zero-fill the pmf on ``0 .. max(support)``."""
+    if not pmf:
+        raise ValueError("empty pmf")
+    _check_degree_label(min(pmf))
+    top = max(pmf)
+    return {k: pmf.get(k, 0.0) for k in range(top + 1)}
+
+
+# ----------------------------------------------------------------------
+# the accumulator protocol and its two count families
+# ----------------------------------------------------------------------
 class StreamingEstimator(abc.ABC):
     """An accumulator fed trace increments via :meth:`update`.
 
-    ``update`` accepts both backends' walk traces and dispatches to the
-    vectorized or tuple-loop path; empty increments are no-ops.
-    :meth:`estimate` may be called at any time (anytime estimation) and
-    raises :class:`ValueError` while no samples have been consumed,
-    matching the batch estimators' behavior on empty traces.
+    ``update`` accepts both backends' walk traces: a list-backed trace
+    runs the accumulator's tuple loop, an array-backed one its count
+    reduction; empty increments are no-ops.  :meth:`estimate` may be
+    called at any time (anytime estimation) and raises
+    :class:`ValueError` while no samples have been consumed.
     """
 
     def update(self, trace) -> "StreamingEstimator":
         """Consume one trace increment; returns self for chaining."""
         if isinstance(trace, VertexTrace):
             self._update_vertex_trace(trace)
-        elif _vectorized.is_array_trace(trace):
+        elif isinstance(trace, ArrayWalkTrace):
             if trace.step_targets.size:
                 self._update_array(trace)
         elif isinstance(trace, WalkTrace):
@@ -144,6 +243,50 @@ class StreamingEstimator(abc.ABC):
         )
 
 
+class _VisitCountEstimator(StreamingEstimator):
+    """Reduces array increments and blocks to ``(vertices, counts)``,
+    the distinct visited vertices and their visit counts."""
+
+    def _update_array(self, trace) -> None:
+        self._absorb_visit_counts(
+            *np.unique(trace.step_targets, return_counts=True)
+        )
+
+    def fused_needs(self) -> Optional[FusedNeeds]:
+        return FusedNeeds(visit_counts=True)
+
+    def _absorb_block(self, block: FusedBlock) -> None:
+        assert block.visit_counts is not None
+        vertices = np.flatnonzero(block.visit_counts)
+        self._absorb_visit_counts(vertices, block.visit_counts[vertices])
+
+    @abc.abstractmethod
+    def _absorb_visit_counts(self, vertices, counts) -> None: ...
+
+    def _weights(self, vertices: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Eq. (7)'s weight ``count / deg`` of each distinct vertex."""
+        return counts.astype(np.float64) / degrees_of(self.graph)[vertices].astype(np.float64)
+
+
+class _EdgeCountEstimator(StreamingEstimator):
+    """Reduces array increments and blocks to the distinct sampled
+    edges, sorted by ``(u, v)``, with their multiplicities."""
+
+    def _update_array(self, trace) -> None:
+        self._consume_edges(
+            *_unique_edges(trace.step_sources, trace.step_targets)
+        )
+
+    def fused_needs(self) -> Optional[FusedNeeds]:
+        return FusedNeeds(edge_keys=True)
+
+    def _absorb_block(self, block: FusedBlock) -> None:
+        self._consume_edges(*_decode_edge_keys(block))
+
+    @abc.abstractmethod
+    def _consume_edges(self, us, vs, counts) -> None: ...
+
+
 # ----------------------------------------------------------------------
 # eq. (7): reweighted vertex accumulators
 # ----------------------------------------------------------------------
@@ -156,7 +299,8 @@ class StreamingDegreePMF(StreamingEstimator):
     two laws cannot be mixed in one accumulator.
 
     ``degree_of`` relabels what is histogrammed (in-/out-degree);
-    the reweighting always uses the symmetric walking degree.
+    the reweighting always uses the symmetric walking degree.  Labels
+    must be non-negative: the estimate is dense on ``0 .. max``.
     """
 
     def __init__(self, graph, degree_of: Optional[DegreeOf] = None):
@@ -179,17 +323,21 @@ class StreamingDegreePMF(StreamingEstimator):
     def _update_array(self, trace) -> None:
         self._latch("walk")
         targets = trace.step_targets
-        walking = _vectorized.degrees_of(self.graph)[targets]
+        walking = degrees_of(self.graph)[targets]
         if self.degree_of is None:
             # Same count-based reduction as the fused-block path, so
             # drained and fused runs stay bit-identical.
             self._absorb_degree_counts(np.bincount(walking))
             return
         inv_deg = 1.0 / walking
-        labels = _vectorized._map_unique(
-            targets, self.degree_of, dtype=np.int64
+        unique, inverse = np.unique(targets, return_inverse=True)
+        mapped = np.fromiter(
+            (self.degree_of(v) for v in unique.tolist()),
+            dtype=np.int64,
+            count=unique.size,
         )
-        histogram = np.bincount(labels, weights=inv_deg)
+        _check_degree_label(int(mapped.min()))
+        histogram = np.bincount(mapped[inverse], weights=inv_deg)
         for key in np.flatnonzero(histogram).tolist():
             self._weighted[key] = self._weighted.get(key, 0.0) + float(
                 histogram[key]
@@ -250,7 +398,7 @@ class StreamingDegreePMF(StreamingEstimator):
     def estimate(self) -> Dict[int, float]:
         """Dense PMF over ``0 .. max_observed`` (the batch dict shape)."""
         if self._samples == 0:
-            raise ValueError("no samples consumed; cannot form the estimate")
+            raise ValueError(_NO_SAMPLES)
         if self._mode == "vertex":
             return _dense(
                 {k: w / self._samples for k, w in self._weighted.items()}
@@ -264,8 +412,12 @@ class StreamingDegreePMF(StreamingEstimator):
         return ccdf_from_pmf(self.estimate())
 
 
-class StreamingVertexFunctional(StreamingEstimator):
-    """Self-normalized eq. (7) accumulator for ``mean_v g(v)``."""
+class StreamingVertexFunctional(_VisitCountEstimator):
+    """Self-normalized eq. (7) accumulator for ``mean_v g(v)``.
+
+    ``g`` runs once per distinct visited vertex of an array increment
+    or block, weighted by ``count / deg``.
+    """
 
     def __init__(self, graph, g: VertexFunction):
         self.graph = graph
@@ -273,12 +425,17 @@ class StreamingVertexFunctional(StreamingEstimator):
         self._weighted = 0.0
         self._normalizer = 0.0
 
-    def _update_array(self, trace) -> None:
-        weighted, normalizer = _vectorized.weighted_vertex_sums(
-            self.graph, trace, self.g
+    def _absorb_visit_counts(
+        self, vertices: np.ndarray, counts: np.ndarray
+    ) -> None:
+        weights = self._weights(vertices, counts)
+        values = np.fromiter(
+            (self.g(v) for v in vertices.tolist()),
+            dtype=np.float64,
+            count=vertices.size,
         )
-        self._weighted += weighted
-        self._normalizer += normalizer
+        self._weighted += float((values * weights).sum())
+        self._normalizer += float(weights.sum())
 
     def _update_list(self, trace: WalkTrace) -> None:
         graph, g = self.graph, self.g
@@ -287,9 +444,13 @@ class StreamingVertexFunctional(StreamingEstimator):
             self._weighted += g(v) * inv_deg
             self._normalizer += inv_deg
 
+    def sums(self) -> Tuple[float, float]:
+        """The raw ``(sum g(v)/deg(v), sum 1/deg(v))`` pair."""
+        return self._weighted, self._normalizer
+
     def estimate(self) -> float:
         if self._normalizer == 0.0:
-            raise ValueError("no samples consumed; cannot form the estimate")
+            raise ValueError(_NO_SAMPLES)
         return self._weighted / self._normalizer
 
 
@@ -307,7 +468,7 @@ class StreamingAverageDegree(StreamingEstimator):
         self._inverse_sum = 0.0
 
     def _update_array(self, trace) -> None:
-        degrees = _vectorized.degrees_of(self.graph)[trace.step_targets]
+        degrees = degrees_of(self.graph)[trace.step_targets]
         self._absorb_degree_counts(np.bincount(degrees))
 
     def _absorb_degree_counts(self, counts: np.ndarray) -> None:
@@ -334,15 +495,15 @@ class StreamingAverageDegree(StreamingEstimator):
 
     def estimate(self) -> float:
         if self._steps == 0:
-            raise ValueError("no samples consumed; cannot form the estimate")
+            raise ValueError(_NO_SAMPLES)
         return self._steps / self._inverse_sum
 
 
-class StreamingVertexDensity(StreamingEstimator):
+class StreamingVertexDensity(_VisitCountEstimator):
     """Eq. (7) label-density accumulator sharing one normalizer ``S``."""
 
     def __init__(
-        self, graph, labeling: VertexLabeling, labels: Sequence[Label]
+        self, graph, labeling: VertexLabeling, labels: Iterable[Label]
     ):
         self.graph = graph
         self.labeling = labeling
@@ -352,22 +513,12 @@ class StreamingVertexDensity(StreamingEstimator):
         }
         self._normalizer = 0.0
 
-    def _update_array(self, trace) -> None:
-        unique, counts = np.unique(trace.step_targets, return_counts=True)
-        self._absorb_visit_counts(unique, counts)
-
     def _absorb_visit_counts(
         self, vertices: np.ndarray, counts: np.ndarray
     ) -> None:
-        """Per-vertex count-based eq. (7) update (fused/drained shared).
-
-        Each distinct vertex contributes ``count / deg`` in one float
-        operation — the association both paths use, keeping them
-        bit-identical.
-        """
-        weights = counts.astype(np.float64) / _vectorized.degrees_of(
-            self.graph
-        )[vertices].astype(np.float64)
+        """Each distinct vertex contributes ``count / deg`` in one float
+        operation, once per label it carries."""
+        weights = self._weights(vertices, counts)
         self._normalizer += float(weights.sum())
         label_sets = [self.labeling.labels_of(int(v)) for v in vertices]
         for label in self.labels:
@@ -377,14 +528,6 @@ class StreamingVertexDensity(StreamingEstimator):
                 count=vertices.size,
             )
             self._weighted[label] += float((indicator * weights).sum())
-
-    def fused_needs(self) -> Optional[FusedNeeds]:
-        return FusedNeeds(visit_counts=True)
-
-    def _absorb_block(self, block: FusedBlock) -> None:
-        assert block.visit_counts is not None
-        vertices = np.flatnonzero(block.visit_counts)
-        self._absorb_visit_counts(vertices, block.visit_counts[vertices])
 
     def _update_list(self, trace: WalkTrace) -> None:
         graph, wanted = self.graph, set(self.labels)
@@ -397,7 +540,7 @@ class StreamingVertexDensity(StreamingEstimator):
 
     def estimate(self) -> Dict[Label, float]:
         if self._normalizer == 0.0:
-            raise ValueError("no samples consumed; cannot form the estimate")
+            raise ValueError(_NO_SAMPLES)
         return {
             label: self._weighted[label] / self._normalizer
             for label in self.labels
@@ -407,28 +550,13 @@ class StreamingVertexDensity(StreamingEstimator):
 # ----------------------------------------------------------------------
 # eq. (5)/(9): edge accumulators
 # ----------------------------------------------------------------------
-def _decode_edge_keys(block: FusedBlock):
-    """Distinct edges of a block, in the drained path's order.
-
-    Keys are ``u * key_base + v`` with ``key_base = num_vertices``;
-    ``np.unique`` therefore yields the edges sorted by ``(u, v)`` —
-    the same sequence ``_vectorized._unique_edges`` produces from the
-    step arrays (its base differs, but any base above the maximum
-    target sorts keys identically), so per-edge float accumulation
-    happens in exactly the same order on both paths.
-    """
-    unique, counts = np.unique(block.edge_key_array(), return_counts=True)
-    base = np.int64(block.key_base)
-    return unique // base, unique % base, counts
-
-
-class StreamingEdgeDensity(StreamingEstimator):
+class StreamingEdgeDensity(_EdgeCountEstimator):
     """Eq. (5) accumulator: label fractions over the labeled edges.
 
-    Pure integer counting, so it matches the batch estimator exactly.
+    Pure integer counting, so every input path gives the same value.
     """
 
-    def __init__(self, labeling: EdgeLabeling, labels: Sequence[Label]):
+    def __init__(self, labeling: EdgeLabeling, labels: Iterable[Label]):
         self.labeling = labeling
         self.labels = list(labels)
         self._hits: Dict[Label, int] = {label: 0 for label in self.labels}
@@ -443,23 +571,11 @@ class StreamingEdgeDensity(StreamingEstimator):
             if label in self._hits:
                 self._hits[label] += count
 
-    def _update_array(self, trace) -> None:
-        us, vs, counts = _vectorized._unique_edges(
-            trace.step_sources, trace.step_targets
-        )
-        self._consume_edges(us, vs, counts)
-
     def _consume_edges(
         self, us: np.ndarray, vs: np.ndarray, counts: np.ndarray
     ) -> None:
         for u, v, count in zip(us.tolist(), vs.tolist(), counts.tolist()):
             self._consume(u, v, count)
-
-    def fused_needs(self) -> Optional[FusedNeeds]:
-        return FusedNeeds(edge_keys=True)
-
-    def _absorb_block(self, block: FusedBlock) -> None:
-        self._consume_edges(*_decode_edge_keys(block))
 
     def _update_list(self, trace: WalkTrace) -> None:
         for u, v in trace.edges:
@@ -475,12 +591,11 @@ class StreamingEdgeDensity(StreamingEstimator):
         }
 
 
-class StreamingEdgeFunctional(StreamingEstimator):
+class StreamingEdgeFunctional(_EdgeCountEstimator):
     """Eq. (9) accumulator: ``(1/B*) sum f(u, v)`` over edges in ``E*``.
 
     ``f`` and ``membership`` run once per distinct edge of each
-    array-backed increment (the batch estimator's trick, applied
-    chunk-wise).
+    array increment or block.
     """
 
     def __init__(
@@ -491,12 +606,6 @@ class StreamingEdgeFunctional(StreamingEstimator):
         self._total = 0.0
         self._relevant = 0
 
-    def _update_array(self, trace) -> None:
-        us, vs, counts = _vectorized._unique_edges(
-            trace.step_sources, trace.step_targets
-        )
-        self._consume_edges(us, vs, counts)
-
     def _consume_edges(
         self, us: np.ndarray, vs: np.ndarray, counts: np.ndarray
     ) -> None:
@@ -505,12 +614,6 @@ class StreamingEdgeFunctional(StreamingEstimator):
                 continue
             self._total += self.f(u, v) * count
             self._relevant += count
-
-    def fused_needs(self) -> Optional[FusedNeeds]:
-        return FusedNeeds(edge_keys=True)
-
-    def _absorb_block(self, block: FusedBlock) -> None:
-        self._consume_edges(*_decode_edge_keys(block))
 
     def _update_list(self, trace: WalkTrace) -> None:
         for u, v in trace.edges:
@@ -527,6 +630,163 @@ class StreamingEdgeFunctional(StreamingEstimator):
         return self._total / self._relevant
 
 
+class StreamingClustering(_EdgeCountEstimator):
+    """Global clustering accumulator (Section 4.2.4, corrected form;
+    :mod:`repro.estimators.clustering` has the derivation).
+
+    The sample ``(v, u)`` adds ``|N(v) ∩ N(u)| / (2 C(deg v, 2))`` to
+    the numerator and ``1/deg(v)`` to the normalizer when ``deg(v) >=
+    2``.  The shared-neighbor count runs once per distinct edge of an
+    array increment or block.
+    """
+
+    def __init__(self, graph):
+        self.graph = graph
+        self._weighted = 0.0
+        self._normalizer = 0.0
+        self._samples = 0
+
+    def _consume_edges(
+        self, vs: np.ndarray, us: np.ndarray, counts: np.ndarray
+    ) -> None:
+        self._samples += int(counts.sum())
+        deg_v = degrees_of(self.graph)[vs]
+        mask = deg_v >= 2
+        deg_v = deg_v[mask].astype(np.float64)
+        weights = counts[mask].astype(np.float64)
+        shared = np.fromiter(
+            (
+                shared_neighbors(self.graph, v, u)
+                for v, u in zip(vs[mask].tolist(), us[mask].tolist())
+            ),
+            dtype=np.float64,
+            count=int(mask.sum()),
+        )
+        pairs = deg_v * (deg_v - 1) / 2.0
+        self._weighted += float((shared / (2.0 * pairs) * weights).sum())
+        self._normalizer += float((weights / deg_v).sum())
+
+    def _update_list(self, trace: WalkTrace) -> None:
+        graph = self.graph
+        for v, u in trace.edges:
+            self._samples += 1
+            deg_v = graph.degree(v)
+            if deg_v < 2:
+                continue
+            pairs = deg_v * (deg_v - 1) / 2.0
+            self._weighted += shared_neighbors(graph, v, u) / (2.0 * pairs)
+            self._normalizer += 1.0 / deg_v
+
+    def estimate(self) -> float:
+        if self._samples == 0:
+            raise ValueError(_NO_SAMPLES)
+        if self._normalizer == 0.0:
+            raise ValueError(
+                "no sampled edge touches a vertex of degree >= 2;"
+                " clustering is undefined on this trace"
+            )
+        return self._weighted / self._normalizer
+
+
+class StreamingAssortativity(_EdgeCountEstimator):
+    """Undirected degree assortativity (Section 4.2.2).
+
+    The Pearson correlation of ``(deg(u), deg(v))`` over the sampled
+    orientations, kept as the sample count and five moment sums.  An
+    array increment or block adds each distinct edge's moments times
+    its multiplicity; every moment is a sum of integers, exact in
+    float64 below 2^53, so that equals the per-step sums.
+    """
+
+    def __init__(self, graph):
+        self.graph = graph
+        self._n = 0
+        self._sum_x = self._sum_y = self._sum_xx = self._sum_yy = self._sum_xy = 0.0
+
+    def _pairs(self, edges) -> Iterator[Tuple[float, float]]:
+        """The ``(x, y)`` label of each sampled orientation in ``E*``."""
+        graph = self.graph
+        for u, v in edges:
+            yield float(graph.degree(u)), float(graph.degree(v))
+
+    def _weighted_pairs(self, us, vs, counts):
+        """``(x, y, multiplicity)`` over the distinct edges in ``E*``."""
+        degrees = degrees_of(self.graph)
+        return (
+            degrees[us].astype(np.float64),
+            degrees[vs].astype(np.float64),
+            counts.astype(np.float64),
+        )
+
+    def _consume_edges(
+        self, us: np.ndarray, vs: np.ndarray, counts: np.ndarray
+    ) -> None:
+        x, y, weights = self._weighted_pairs(us, vs, counts)
+        self._n += int(weights.sum())
+        self._sum_x += float((x * weights).sum())
+        self._sum_y += float((y * weights).sum())
+        self._sum_xx += float((x * x * weights).sum())
+        self._sum_yy += float((y * y * weights).sum())
+        self._sum_xy += float((x * y * weights).sum())
+
+    def _update_list(self, trace: WalkTrace) -> None:
+        for x, y in self._pairs(trace.edges):
+            self._n += 1
+            self._sum_x += x
+            self._sum_y += y
+            self._sum_xx += x * x
+            self._sum_yy += y * y
+            self._sum_xy += x * y
+
+    def estimate(self) -> float:
+        n = self._n
+        if n == 0:
+            raise ValueError("no edge samples in E*; cannot estimate r")
+        mean_x = self._sum_x / n
+        mean_y = self._sum_y / n
+        var_x = self._sum_xx / n - mean_x * mean_x
+        var_y = self._sum_yy / n - mean_y * mean_y
+        if var_x <= 0 or var_y <= 0:
+            # All sampled endpoints share one degree: correlation
+            # undefined; the paper requires sigma_in, sigma_out > 0.
+            # Report 0 so runs over degree-regular subgraphs degrade
+            # gracefully.
+            return 0.0
+        return (self._sum_xy / n - mean_x * mean_y) / math.sqrt(var_x * var_y)
+
+
+class StreamingDirectedAssortativity(StreamingAssortativity):
+    """Directed degree assortativity with ``E* = E_d`` (Section 4.2.2).
+
+    Holds the :class:`~repro.graph.digraph.DiGraph` ``G_d`` as
+    ``graph`` (dropped on pickle, re-attached with :meth:`attach`).
+    The walk runs on the symmetric closure, so a sampled orientation
+    ``(u, v)`` is relevant iff the arc exists in ``G_d``; its label is
+    ``(outdeg(u), indeg(v))``.
+    """
+
+    def _pairs(self, edges) -> Iterator[Tuple[float, float]]:
+        digraph = self.graph
+        for u, v in edges:
+            if digraph.has_edge(u, v):
+                yield float(digraph.out_degree(u)), float(digraph.in_degree(v))
+
+    def _weighted_pairs(self, us, vs, counts):
+        digraph = self.graph
+        mask = np.fromiter(
+            (digraph.has_edge(u, v) for u, v in zip(us.tolist(), vs.tolist())),
+            dtype=bool,
+            count=us.size,
+        )
+        out_degrees = np.asarray(digraph.out_degrees(), dtype=np.float64)
+        in_degrees = np.asarray(digraph.in_degrees(), dtype=np.float64)
+        return (
+            out_degrees[us[mask]],
+            in_degrees[vs[mask]],
+            counts[mask].astype(np.float64),
+        )
+
+
 # ----------------------------------------------------------------------
 # graph size (Katzir-style collision counting)
 # ----------------------------------------------------------------------
@@ -535,13 +795,13 @@ class StreamingEdgeFunctional(StreamingEstimator):
 _INT64_EXACT_VISITS = 1 << 31
 
 
-class StreamingGraphSize(StreamingEstimator):
+class StreamingGraphSize(_VisitCountEstimator):
     """Size accumulator: ``Psi_1``, ``Psi_2`` and vertex collisions.
 
     Keeps one int64 visit count per vertex and the running number of
     colliding visit pairs, ``sum_v c_v (c_v - 1) / 2``, so collisions
-    *across* increments are counted, exactly as the batch estimator
-    sees them, and an estimate costs O(1).
+    *across* increments are counted, exactly as in one whole trace,
+    and an estimate costs O(1).
     """
 
     def __init__(self, graph):
@@ -561,17 +821,10 @@ class StreamingGraphSize(StreamingEstimator):
             )
         self.__dict__.update(state)
 
-    def _update_array(self, trace) -> None:
-        unique, counts = np.unique(trace.step_targets, return_counts=True)
-        self._absorb_visit_counts(unique, counts)
-
     def _absorb_visit_counts(
         self, vertices: np.ndarray, counts: np.ndarray
     ) -> None:
-        """Count-based Psi/collision update shared with the fused path."""
-        degrees = _vectorized.degrees_of(self.graph)[vertices].astype(
-            np.float64
-        )
+        degrees = degrees_of(self.graph)[vertices].astype(np.float64)
         weights = counts.astype(np.float64)
         self._inverse_sum += float((weights / degrees).sum())
         self._degree_sum += float((weights * degrees).sum())
@@ -591,14 +844,6 @@ class StreamingGraphSize(StreamingEstimator):
             )
         self._collisions += added
         self._counts[vertices] = prior + counts
-
-    def fused_needs(self) -> Optional[FusedNeeds]:
-        return FusedNeeds(visit_counts=True)
-
-    def _absorb_block(self, block: FusedBlock) -> None:
-        assert block.visit_counts is not None
-        vertices = np.flatnonzero(block.visit_counts)
-        self._absorb_visit_counts(vertices, block.visit_counts[vertices])
 
     def _update_list(self, trace: WalkTrace) -> None:
         graph = self.graph

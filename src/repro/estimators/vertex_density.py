@@ -6,17 +6,13 @@ estimator divides each observation by ``deg(v_i)`` and self-normalizes:
 
     theta_hat_l = (1 / (S B)) * sum_i 1(l in L_v(v_i)) / deg(v_i),
     S           = (1/B) * sum_i 1 / deg(v_i).
-
-Array-backed traces dispatch to the numpy implementation in
-:mod:`repro.estimators._vectorized` (label lookups run once per
-distinct visited vertex; the reweighting is pure array arithmetic).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Sequence
 
-from repro.estimators import _vectorized
+from repro.estimators.streaming import StreamingVertexDensity
 from repro.graph.graph import Graph
 from repro.graph.labels import VertexLabeling
 from repro.sampling.base import WalkTrace
@@ -31,18 +27,8 @@ def vertex_label_density_from_trace(
     label: Label,
 ) -> float:
     """Estimate the fraction of vertices carrying ``label`` (eq. 7)."""
-    if _vectorized.is_array_trace(trace):
-        return _vectorized.vertex_label_density(graph, trace, labeling, label)
-    if not trace.edges:
-        raise ValueError("empty trace; cannot form the estimate")
-    weighted = 0.0
-    normalizer = 0.0
-    for _, v in trace.edges:
-        inv_deg = 1.0 / graph.degree(v)
-        if labeling.has_label(v, label):
-            weighted += inv_deg
-        normalizer += inv_deg
-    return weighted / normalizer
+    density = StreamingVertexDensity(graph, labeling, [label])
+    return density.update(trace).estimate()[label]
 
 
 def vertex_label_densities_from_trace(
@@ -56,23 +42,8 @@ def vertex_label_densities_from_trace(
     Sharing the normalizer ``S`` across labels is both faster and
     exactly what eq. (7) prescribes (``S`` does not depend on ``l``).
     """
-    label_list = list(labels)
-    if _vectorized.is_array_trace(trace):
-        return _vectorized.vertex_label_densities(
-            graph, trace, labeling, label_list
-        )
-    if not trace.edges:
-        raise ValueError("empty trace; cannot form the estimate")
-    weighted: Dict[Label, float] = {label: 0.0 for label in label_list}
-    wanted = set(label_list)
-    normalizer = 0.0
-    for _, v in trace.edges:
-        inv_deg = 1.0 / graph.degree(v)
-        normalizer += inv_deg
-        for label in labeling.labels_of(v):
-            if label in wanted:
-                weighted[label] += inv_deg
-    return {label: weighted[label] / normalizer for label in label_list}
+    density = StreamingVertexDensity(graph, labeling, labels)
+    return density.update(trace).estimate()
 
 
 def vertex_label_density_from_vertices(

@@ -101,8 +101,9 @@ def _estimate(
     """Dispatch on trace type and metric to the right batch estimator.
 
     The engine path below streams increments into
-    :class:`StreamingDegreePMF` instead; this batch dispatch is kept
-    as the reference implementation the parity tests check against.
+    :class:`StreamingDegreePMF`; a walk trace here is one update of the
+    same accumulator, whose tuple loop is the reference the parity
+    tests check the array reductions against.
     """
     if isinstance(trace, VertexTrace):
         label = degree_of if degree_of is not None else graph.degree

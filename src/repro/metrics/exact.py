@@ -10,6 +10,7 @@ import math
 from typing import Callable, Dict, Hashable, Iterable, Optional
 
 from repro.estimators.clustering import shared_neighbors
+from repro.estimators.streaming import _dense
 from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph
 from repro.graph.labels import VertexLabeling
@@ -24,7 +25,8 @@ def true_degree_pmf(
 ) -> Dict[int, float]:
     """Exact ``theta_i``: fraction of vertices with degree label ``i``.
 
-    Dense on ``0 .. max``, like the estimators' output.
+    Dense on ``0 .. max``, like the estimators' output; a negative label
+    raises :class:`ValueError`.
     """
     if graph.num_vertices == 0:
         raise ValueError("empty graph")
@@ -33,9 +35,8 @@ def true_degree_pmf(
     for v in graph.vertices():
         key = label(v)
         counts[key] = counts.get(key, 0) + 1
-    top = max(counts)
     n = graph.num_vertices
-    return {k: counts.get(k, 0) / n for k in range(top + 1)}
+    return _dense({k: c / n for k, c in counts.items()})
 
 
 def true_degree_ccdf(

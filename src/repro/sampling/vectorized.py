@@ -79,7 +79,8 @@ class ArrayWalkTrace(WalkTrace):
     never pay for a million tuple allocations.  The cached lists are
     returned by reference and must be treated as read-only — mutating
     one corrupts every later read.  Internal consumers (the estimator
-    layer dispatches via :mod:`repro.estimators._vectorized`) read
+    accumulators in :mod:`repro.estimators.streaming`, which reduce
+    the arrays to visit counts or distinct edges) read
     :attr:`step_sources` / :attr:`step_targets` directly and never
     touch the list views.
     """

@@ -6,6 +6,7 @@ import pytest
 from repro.generators.ba import barabasi_albert
 from repro.generators.classic import complete_graph, cycle_graph, star_graph
 from repro.generators.smallworld import watts_strogatz
+from repro.graph.csr import get_csr
 from repro.graph.graph import Graph
 from repro.sampling.base import WalkTrace
 from repro.sampling.single import SingleRandomWalk
@@ -110,3 +111,16 @@ class TestEstimator:
         truth = true_global_clustering(graph)
         estimate = global_clustering_from_trace(graph, trace)
         assert estimate == pytest.approx(truth, rel=0.2)
+
+
+class TestCSRGraph:
+    def test_csr_matches_graph(self):
+        """Both the exact value and the estimate accept a CSRGraph and
+        equal their Graph values exactly."""
+        graph = barabasi_albert(300, 3, rng=8)
+        csr = get_csr(graph)
+        trace = SingleRandomWalk().sample(graph, 3_000, rng=9)
+        assert true_global_clustering(csr) == true_global_clustering(graph)
+        assert global_clustering_from_trace(
+            csr, trace
+        ) == global_clustering_from_trace(graph, trace)

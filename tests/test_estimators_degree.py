@@ -97,3 +97,24 @@ class TestEdgeSamplesUseSameEstimator:
         pmf = degree_pmf_from_trace(paw, trace)
         truth = true_degree_pmf(paw)
         assert total_variation(pmf, truth) < 0.02
+
+
+class TestNegativeLabel:
+    """A negative degree label raises instead of losing its mass: the
+    PMFs are dense on 0 .. max, so a label below 0 has no bin."""
+
+    @pytest.mark.parametrize("path", ["list", "csr", "vertices", "exact"])
+    def test_raises_naming_the_label(self, path):
+        graph = barabasi_albert(200, 2, rng=0)
+        label = lambda v: -1 if v % 2 else graph.degree(v)  # noqa: E731
+        if path == "exact":
+            call = lambda: true_degree_pmf(graph, label)  # noqa: E731
+        elif path == "vertices":
+            call = lambda: degree_pmf_from_vertices(  # noqa: E731
+                list(graph.vertices()), label
+            )
+        else:
+            trace = SingleRandomWalk(backend=path).sample(graph, 2_000, rng=1)
+            call = lambda: degree_pmf_from_trace(graph, trace, label)  # noqa: E731
+        with pytest.raises(ValueError, match="degree label -1 is negative"):
+            call()

@@ -11,24 +11,31 @@ from __future__ import annotations
 import pytest
 
 from repro.estimators import (
+    StreamingAssortativity,
     StreamingAverageDegree,
+    StreamingClustering,
     StreamingDegreePMF,
+    StreamingDirectedAssortativity,
     StreamingEdgeDensity,
     StreamingEdgeFunctional,
     StreamingGraphSize,
     StreamingVertexDensity,
     StreamingVertexFunctional,
+    assortativity_from_trace,
     degree_ccdf_from_trace,
     degree_pmf_from_trace,
     degree_pmf_from_vertices,
+    directed_assortativity_from_trace,
     edge_functional_from_trace,
     edge_label_densities_from_trace,
     estimate_num_edges,
     estimate_num_vertices,
+    global_clustering_from_trace,
     vertex_functional_from_trace,
     vertex_label_densities_from_trace,
 )
 from repro.generators.ba import barabasi_albert
+from repro.graph.digraph import DiGraph
 from repro.graph.labels import EdgeLabeling, VertexLabeling
 from repro.sampling import (
     FrontierSampler,
@@ -64,6 +71,15 @@ def edge_labeling(graph):
         labeling.add((u, v), label)
         labeling.add((v, u), label)
     return labeling
+
+
+@pytest.fixture(scope="module")
+def digraph(graph):
+    """``G_d`` holding one orientation of each edge."""
+    directed = DiGraph(graph.num_vertices)
+    for u, v in graph.edges():
+        directed.add_edge(u, v)
+    return directed
 
 
 def run_streamed(graph, sampler, accumulators, rng=7):
@@ -190,6 +206,25 @@ class TestWalkTraceParity:
         )
         assert accumulator.estimate() == accumulator.num_vertices()
 
+    @pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda s: repr(s))
+    def test_clustering(self, graph, sampler):
+        accumulator = StreamingClustering(graph)
+        full = run_streamed(graph, sampler, [accumulator])
+        assert accumulator.estimate() == pytest.approx(
+            global_clustering_from_trace(graph, full), abs=TOLERANCE
+        )
+
+    @pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda s: repr(s))
+    def test_assortativity_exact(self, graph, digraph, sampler):
+        """Integer-valued moment sums: chunking cannot move them."""
+        undirected = StreamingAssortativity(graph)
+        directed = StreamingDirectedAssortativity(digraph)
+        full = run_streamed(graph, sampler, [undirected, directed])
+        assert undirected.estimate() == assortativity_from_trace(graph, full)
+        assert directed.estimate() == directed_assortativity_from_trace(
+            digraph, full
+        )
+
 
 class TestVertexTraceMode:
     def test_uniform_vertex_samples_use_plain_counts(self, graph):
@@ -255,4 +290,16 @@ class TestProtocol:
         clone = pickle.loads(pickle.dumps(accumulator))
         assert clone.graph is None
         clone.attach(graph)
+        assert clone.estimate() == accumulator.estimate()
+
+    def test_directed_checkpoint_drops_digraph(self, graph, digraph):
+        import pickle
+
+        accumulator = StreamingDirectedAssortativity(digraph)
+        accumulator.update(SingleRandomWalk().sample(graph, 400, rng=2))
+        clone = pickle.loads(pickle.dumps(accumulator))
+        assert clone.graph is None
+        clone.attach(digraph)
+        clone.update(SingleRandomWalk().sample(graph, 400, rng=3))
+        accumulator.update(SingleRandomWalk().sample(graph, 400, rng=3))
         assert clone.estimate() == accumulator.estimate()

@@ -1,9 +1,10 @@
-"""Vectorized-vs-tuple-loop estimator parity.
+"""Array-reduction-vs-tuple-loop estimator parity.
 
-Every public ``*_from_trace`` estimator dispatches to the numpy
-implementation in :mod:`repro.estimators._vectorized` when handed an
-array-backed trace.  These fixed-seed goldens pin the contract from
-ISSUE 2: on the same FS steps, the two code paths agree to 1e-12 on
+Every public ``*_from_trace`` estimator is one update of its
+accumulator in :mod:`repro.estimators.streaming`, which reduces an
+array-backed trace to visit counts or distinct edges and runs a tuple
+loop over a list-backed one.  These fixed-seed goldens pin the
+contract: on the same FS steps, the two code paths agree to 1e-12 on
 ER, BA and disconnected graphs — including the ``degree_of``
 label-vs-walking-degree decoupling.
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.estimators import _vectorized
+from repro.estimators import streaming
 from repro.estimators.assortativity import (
     assortativity_from_trace,
     directed_assortativity_from_trace,
@@ -305,17 +306,12 @@ class TestMetropolisTraceParity:
 
 
 class TestVectorizedInternals:
-    def test_dispatch_guard(self, graph_pair):
-        _, array_trace, tuple_trace = graph_pair
-        assert _vectorized.is_array_trace(array_trace)
-        assert not _vectorized.is_array_trace(tuple_trace)
-
     def test_degree_array_cache_tracks_mutation(self):
         graph = disconnected_graph()
-        before = _vectorized.degrees_of(graph)
-        assert _vectorized.degrees_of(graph) is before  # cached
+        before = streaming.degrees_of(graph)
+        assert streaming.degrees_of(graph) is before  # cached
         graph.add_edge(7, 8)
-        after = _vectorized.degrees_of(graph)
+        after = streaming.degrees_of(graph)
         assert after is not before
         assert after[8] == 1
 
@@ -324,18 +320,18 @@ class TestVectorizedInternals:
         latest = {}
         for i in range(8):
             graph.add_edge(i, i + 1)
-            latest[graph.version] = _vectorized.degrees_of(graph)
+            latest[graph.version] = streaming.degrees_of(graph)
         cache = graph._degree_array_cache
-        assert len(cache) == _vectorized._DEGREE_CACHE_VERSIONS
+        assert len(cache) == streaming._DEGREE_CACHE_VERSIONS
         # The newest version survives the evictions (identity hit)...
-        assert _vectorized.degrees_of(graph) is latest[graph.version]
+        assert streaming.degrees_of(graph) is latest[graph.version]
         # ...and every retained entry is keyed by a version we saw.
         assert set(cache) <= set(latest)
 
     def test_unique_edges_multiplicities(self):
         sources = np.array([2, 0, 2, 2], dtype=np.int64)
         targets = np.array([1, 1, 1, 0], dtype=np.int64)
-        us, vs, counts = _vectorized._unique_edges(sources, targets)
+        us, vs, counts = streaming._unique_edges(sources, targets)
         observed = {
             (int(u), int(v)): int(c) for u, v, c in zip(us, vs, counts)
         }

@@ -29,13 +29,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.estimators.streaming import (
+    StreamingAssortativity,
     StreamingAverageDegree,
+    StreamingClustering,
     StreamingDegreePMF,
+    StreamingDirectedAssortativity,
+    StreamingEdgeDensity,
     StreamingEdgeFunctional,
     StreamingGraphSize,
+    StreamingVertexDensity,
+    StreamingVertexFunctional,
 )
 from repro.experiments.engine import ExperimentPlan, TraceCollector, run_plan
 from repro.generators.ba import barabasi_albert
+from repro.graph.digraph import DiGraph
+from repro.graph.labels import EdgeLabeling, VertexLabeling
 from repro.sampling import (
     FrontierSampler,
     MetropolisHastingsWalk,
@@ -71,13 +79,32 @@ def edge_weight(u: int, v: int) -> float:
     return float(2 * u + v)
 
 
+def vertex_weight(v: int) -> float:
+    return (v % 7) * 0.3
+
+
 def make_parts(graph):
-    """A bundle needing all three block statistics."""
+    """A bundle needing all three block statistics: every fuse-capable
+    accumulator, the directed assortativity on a digraph holding one
+    orientation of each edge."""
+    vertex_labels, edge_labels = VertexLabeling(), EdgeLabeling()
+    digraph = DiGraph(graph.num_vertices)
+    for v in graph.vertices():
+        vertex_labels.add(v, "even" if v % 2 == 0 else "odd")
+    for u, v in graph.edges():
+        edge_labels.add((u, v), "low" if u + v < graph.num_vertices else "high")
+        digraph.add_edge(u, v)
     return [
         StreamingDegreePMF(graph),
         StreamingAverageDegree(graph),
         StreamingGraphSize(graph),
         StreamingEdgeFunctional(edge_weight),
+        StreamingVertexFunctional(graph, vertex_weight),
+        StreamingVertexDensity(graph, vertex_labels, ["even", "odd"]),
+        StreamingEdgeDensity(edge_labels, ["low", "high"]),
+        StreamingClustering(graph),
+        StreamingAssortativity(graph),
+        StreamingDirectedAssortativity(digraph),
     ]
 
 
