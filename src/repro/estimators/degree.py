@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence
 
-from repro.estimators.streaming import StreamingDegreePMF, _dense
+from repro.estimators.streaming import StreamingDegreePMF
 from repro.graph.graph import Graph
-from repro.sampling.base import WalkTrace
+from repro.sampling.base import VertexTrace, WalkTrace
 from repro.util.stats import ccdf_from_pmf
 
 DegreeOf = Callable[[int], int]
@@ -53,16 +53,11 @@ def degree_pmf_from_vertices(
     """Empirical degree pmf from *uniform* vertex samples.
 
     The straightforward estimator of Section 3's random vertex
-    sampling: each valid sample contributes ``1/n`` to its degree bin.
+    sampling: each valid sample contributes ``1/n`` to its degree bin
+    (the vertex-sample mode of :class:`StreamingDegreePMF`).
     """
-    if not vertices:
-        raise ValueError("no vertex samples; cannot form the estimate")
-    counts: Dict[int, float] = {}
-    for v in vertices:
-        key = degree_of(v)
-        counts[key] = counts.get(key, 0.0) + 1.0
-    n = len(vertices)
-    return _dense({k: c / n for k, c in counts.items()})
+    samples = VertexTrace("vertices", list(vertices), 0.0, 0.0)
+    return StreamingDegreePMF(None, degree_of).update(samples).estimate()
 
 
 def degree_ccdf_from_vertices(

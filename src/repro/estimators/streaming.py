@@ -300,7 +300,8 @@ class StreamingDegreePMF(StreamingEstimator):
 
     ``degree_of`` relabels what is histogrammed (in-/out-degree);
     the reweighting always uses the symmetric walking degree.  Labels
-    must be non-negative: the estimate is dense on ``0 .. max``.
+    must be non-negative (the estimate is dense on ``0 .. max``):
+    ``update`` raises :class:`ValueError` on a negative one.
     """
 
     def __init__(self, graph, degree_of: Optional[DegreeOf] = None):
@@ -382,6 +383,7 @@ class StreamingDegreePMF(StreamingEstimator):
             key = label(v)
             self._weighted[key] = self._weighted.get(key, 0.0) + inv_deg
             self._samples += 1
+        _check_degree_label(min(self._weighted))
 
     def _update_vertex_trace(self, trace: VertexTrace) -> None:
         if not trace.vertices:
@@ -394,6 +396,7 @@ class StreamingDegreePMF(StreamingEstimator):
             key = label(v)
             self._weighted[key] = self._weighted.get(key, 0.0) + 1.0
             self._samples += 1
+        _check_degree_label(min(self._weighted))
 
     def estimate(self) -> Dict[int, float]:
         """Dense PMF over ``0 .. max_observed`` (the batch dict shape)."""
@@ -778,11 +781,10 @@ class StreamingDirectedAssortativity(StreamingAssortativity):
             dtype=bool,
             count=us.size,
         )
-        out_degrees = np.asarray(digraph.out_degrees(), dtype=np.float64)
-        in_degrees = np.asarray(digraph.in_degrees(), dtype=np.float64)
+        us, vs = us[mask].tolist(), vs[mask].tolist()
         return (
-            out_degrees[us[mask]],
-            in_degrees[vs[mask]],
+            np.array([digraph.out_degree(u) for u in us], dtype=np.float64),
+            np.array([digraph.in_degree(v) for v in vs], dtype=np.float64),
             counts[mask].astype(np.float64),
         )
 

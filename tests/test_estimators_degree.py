@@ -6,6 +6,7 @@ from repro.generators.ba import barabasi_albert
 from repro.sampling.base import WalkTrace
 from repro.sampling.independent import RandomEdgeSampler, RandomVertexSampler
 from repro.sampling.single import SingleRandomWalk
+from repro.estimators import StreamingDegreePMF
 from repro.estimators.degree import (
     degree_ccdf_from_trace,
     degree_ccdf_from_vertices,
@@ -101,20 +102,26 @@ class TestEdgeSamplesUseSameEstimator:
 
 class TestNegativeLabel:
     """A negative degree label raises instead of losing its mass: the
-    PMFs are dense on 0 .. max, so a label below 0 has no bin."""
+    PMFs are dense on 0 .. max, so a label below 0 has no bin.  An
+    accumulator raises in ``update``, before any estimate is read."""
 
-    @pytest.mark.parametrize("path", ["list", "csr", "vertices", "exact"])
+    @pytest.mark.parametrize(
+        "path", ["list", "csr", "update", "vertices", "exact"]
+    )
     def test_raises_naming_the_label(self, path):
         graph = barabasi_albert(200, 2, rng=0)
         label = lambda v: -1 if v % 2 else graph.degree(v)  # noqa: E731
-        if path == "exact":
-            call = lambda: true_degree_pmf(graph, label)  # noqa: E731
-        elif path == "vertices":
-            call = lambda: degree_pmf_from_vertices(  # noqa: E731
+        trace = SingleRandomWalk(
+            backend="csr" if path == "csr" else "list"
+        ).sample(graph, 2_000, rng=1)
+        calls = {
+            "list": lambda: degree_pmf_from_trace(graph, trace, label),
+            "csr": lambda: degree_pmf_from_trace(graph, trace, label),
+            "update": lambda: StreamingDegreePMF(graph, label).update(trace),
+            "vertices": lambda: degree_pmf_from_vertices(
                 list(graph.vertices()), label
-            )
-        else:
-            trace = SingleRandomWalk(backend=path).sample(graph, 2_000, rng=1)
-            call = lambda: degree_pmf_from_trace(graph, trace, label)  # noqa: E731
+            ),
+            "exact": lambda: true_degree_pmf(graph, label),
+        }
         with pytest.raises(ValueError, match="degree label -1 is negative"):
-            call()
+            calls[path]()
