@@ -389,11 +389,18 @@ class StreamingDegreePMF(StreamingEstimator):
         if not trace.vertices:
             return
         self._latch("vertex")
-        label = (
-            self.degree_of if self.degree_of is not None else self.graph.degree
-        )
+        if self.degree_of is None:
+            # Integer counts per degree: each sum of 1.0s is exact, so
+            # this equals the per-sample loop below.
+            counts = np.bincount(degrees_of(self.graph)[trace.vertices])
+            for key in np.flatnonzero(counts).tolist():
+                self._weighted[key] = self._weighted.get(key, 0.0) + float(
+                    counts[key]
+                )
+            self._samples += len(trace.vertices)
+            return
         for v in trace.vertices:
-            key = label(v)
+            key = self.degree_of(v)
             self._weighted[key] = self._weighted.get(key, 0.0) + 1.0
             self._samples += 1
         _check_degree_label(min(self._weighted))

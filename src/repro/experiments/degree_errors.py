@@ -11,18 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.estimators.degree import (
-    degree_ccdf_from_trace,
-    degree_ccdf_from_vertices,
-    degree_pmf_from_trace,
-    degree_pmf_from_vertices,
-)
+from repro.estimators.degree import degree_ccdf_from_trace, degree_pmf_from_trace
 from repro.estimators.streaming import StreamingDegreePMF
 from repro.experiments.engine import ExperimentPlan, run_plan
 from repro.graph.graph import Graph
 from repro.metrics.errors import nmse_curve
 from repro.metrics.exact import true_degree_ccdf, true_degree_pmf
-from repro.sampling.base import Backend, Sampler, VertexTrace
+from repro.sampling.base import Backend, Sampler
 
 DegreeOf = Callable[[int], int]
 
@@ -98,18 +93,14 @@ def _estimate(
     metric: str,
     degree_of: Optional[DegreeOf],
 ) -> Mapping[int, float]:
-    """Dispatch on trace type and metric to the right batch estimator.
+    """The batch estimator of ``metric`` over one whole trace.
 
     The engine path below streams increments into
-    :class:`StreamingDegreePMF`; a walk trace here is one update of the
-    same accumulator, whose tuple loop is the reference the parity
-    tests check the array reductions against.
+    :class:`StreamingDegreePMF`; a trace here is one update of the same
+    accumulator (its vertex-sample mode for a
+    :class:`~repro.sampling.base.VertexTrace`), whose tuple loop is the
+    reference the parity tests check the array reductions against.
     """
-    if isinstance(trace, VertexTrace):
-        label = degree_of if degree_of is not None else graph.degree
-        if metric == "ccdf":
-            return degree_ccdf_from_vertices(trace.vertices, label)
-        return degree_pmf_from_vertices(trace.vertices, label)
     if metric == "ccdf":
         return degree_ccdf_from_trace(graph, trace, degree_of)
     return degree_pmf_from_trace(graph, trace, degree_of)

@@ -70,8 +70,8 @@ from repro.estimators.streaming import (
 )
 from repro.experiments.engine import ExperimentPlan, run_plan
 from repro.sampling.fused import merge_needs
-from repro.generators.ba import barabasi_albert
-from repro.generators.er import erdos_renyi_gnm, gnm_edges
+from repro.generators.ba import ba_edges
+from repro.generators.er import gnm_edges
 from repro.generators.smallworld import watts_strogatz
 from repro.graph.components import largest_connected_component
 from repro.graph.csr import CSRGraph
@@ -108,9 +108,8 @@ class SuiteSpecError(ValueError):
 # registries: graph families, sampler kinds, estimators
 # ----------------------------------------------------------------------
 def _family_ba(size: int, kwargs: Mapping[str, Any], seed: int):
-    return barabasi_albert(
-        size, int(kwargs.get("edges_per_vertex", 3)), rng=seed
-    )
+    edges = ba_edges(size, int(kwargs.get("edges_per_vertex", 3)), rng=seed)
+    return CSRGraph.from_edge_sequence(*edges, size)
 
 
 def _er_num_edges(size: int, kwargs: Mapping[str, Any]) -> int:
@@ -122,18 +121,16 @@ def _er_num_edges(size: int, kwargs: Mapping[str, Any]) -> int:
 
 
 def _family_er(size: int, kwargs: Mapping[str, Any], seed: int):
-    num_edges = _er_num_edges(size, kwargs)
+    graph = CSRGraph.from_edge_sequence(
+        *gnm_edges(size, _er_num_edges(size, kwargs), rng=seed), size
+    )
     if not kwargs.get("lcc", True):
-        return erdos_renyi_gnm(size, num_edges, rng=seed)
+        return graph
     # Walkers cannot launch from isolated vertices; like the figure
     # drivers, ER scenarios walk the LCC unless the spec opts out (FS
-    # tolerates dust, SRW/MHRW seeds do not).  The LCC is cut from the
-    # G(n, m) edges as a CSR, so the full graph never becomes lists.
-    heads, tails = gnm_edges(size, num_edges, rng=seed)
-    graph, _ = largest_connected_component(
-        CSRGraph.from_edge_sequence(heads, tails, size)
-    )
-    return graph
+    # tolerates dust, SRW/MHRW seeds do not).
+    lcc, _ = largest_connected_component(graph)
+    return lcc
 
 
 def _family_ws(size: int, kwargs: Mapping[str, Any], seed: int):
@@ -180,7 +177,9 @@ def _check_ws(size: int, kwargs: Mapping[str, Any], path: str) -> None:
 
 #: family -> (builder, allowed kwargs, check).  A check raises a
 #: :class:`SuiteSpecError` under its kwargs path when a size cannot be
-#: built with them.
+#: built with them.  Scenario graphs are only walked and scored, so BA
+#: and ER are built as :class:`CSRGraph`\ s straight from their edge
+#: buffers; Watts–Strogatz rewires with ``add_edge`` and stays a Graph.
 _FAMILIES: Dict[str, Tuple[Callable, frozenset, Callable]] = {
     "ba": (_family_ba, frozenset({"edges_per_vertex"}), _check_ba),
     "er": (_family_er, frozenset({"avg_degree", "lcc"}), _check_er),

@@ -8,6 +8,7 @@ where ``k`` is the number of edges each arriving vertex brings.
 from __future__ import annotations
 
 import random
+from typing import Tuple
 
 import numpy as np
 
@@ -22,14 +23,24 @@ def barabasi_albert(num_vertices: int, edges_per_vertex: int, rng: RngLike = Non
     edges to existing vertices chosen proportionally to degree.
 
     The seed graph is a star on ``edges_per_vertex + 1`` vertices, so
-    the result is always connected and simple.  Preferential attachment
-    is implemented with the standard repeated-endpoints list, giving
-    O(|E|) expected construction time; the graph is then built from
-    that list in one bulk pass, as the ``add_edge`` calls would.
+    the result is always connected and simple.  The graph is built from
+    :func:`ba_edges` in one bulk pass, as the ``add_edge`` calls would.
+    """
+    return graph_from_edge_sequence(
+        *ba_edges(num_vertices, edges_per_vertex, rng), num_vertices
+    )
 
+
+def ba_edges(
+    num_vertices: int, edges_per_vertex: int, rng: RngLike = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The BA edge sequence: ``(heads, tails)`` in ``add_edge`` order.
+
+    Preferential attachment is implemented with the standard
+    repeated-endpoints list, giving O(|E|) expected construction time.
     With native kernels and a plain :class:`random.Random`, the draw
-    loop runs in C on the generator's own words and builds the same
-    graph; the loop below is its reference.
+    loop runs in C on the generator's own words and draws the same
+    edges; the loop below is its reference.
     """
     k = edges_per_vertex
     if k < 1:
@@ -43,7 +54,7 @@ def barabasi_albert(num_vertices: int, edges_per_vertex: int, rng: RngLike = Non
     largest_range = 2 * k * (num_vertices - k - 1)
     if randrange_on_words(generator, largest_range) and _native.available():
         ends = _attach_on_words(num_vertices, k, generator)
-        return graph_from_edge_sequence(ends[0::2], ends[1::2], num_vertices)
+        return ends[0::2], ends[1::2]
     randrange = generator.randrange
 
     # Each endpoint appears once per incident edge, and each edge
@@ -64,7 +75,7 @@ def barabasi_albert(num_vertices: int, edges_per_vertex: int, rng: RngLike = Non
             endpoints.append(new_vertex)
             endpoints.append(target)
     ends = np.array(endpoints, dtype=np.int64)
-    return graph_from_edge_sequence(ends[0::2], ends[1::2], num_vertices)
+    return ends[0::2], ends[1::2]
 
 
 def _attach_on_words(

@@ -9,12 +9,14 @@ smallest vertex and no Python loop visits a vertex or an edge.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, TypeVar
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, get_csr, induced_graph
+from repro.graph.csr import CSRGraph, get_csr, induced_csr, induced_graph
 from repro.graph.graph import Graph
+
+AnyGraph = TypeVar("AnyGraph", Graph, CSRGraph)
 
 
 def _component_labels(csr: CSRGraph) -> np.ndarray:
@@ -88,27 +90,31 @@ def induced_subgraph(
         raise IndexError(f"vertex {bad} out of range [0, {n})")
     keep = np.zeros(n, dtype=bool)
     keep[vertex_list] = True
-    return _induced(get_csr(graph), keep)
+    return induced_graph(get_csr(graph), keep), _relabeling(keep)
 
 
-def _induced(csr: CSRGraph, keep: np.ndarray) -> Tuple[Graph, Dict[int, int]]:
+def _relabeling(keep: np.ndarray) -> Dict[int, int]:
     old = np.flatnonzero(keep).tolist()
-    return induced_graph(csr, keep), dict(zip(old, range(len(old))))
+    return dict(zip(old, range(len(old))))
 
 
 def largest_connected_component(
-    graph: Union[Graph, CSRGraph],
-) -> Tuple[Graph, Dict[int, int]]:
+    graph: AnyGraph,
+) -> Tuple[AnyGraph, Dict[int, int]]:
     """The LCC as an induced subgraph plus the old->new vertex map.
 
-    A :class:`CSRGraph` input is labeled and cut on its arrays directly;
-    the result is always a :class:`Graph`.
+    The subgraph has the input's type: a :class:`CSRGraph` is labeled
+    and cut on its arrays and never becomes lists, and a :class:`Graph`
+    gives a :class:`Graph` over the same rows.
     """
     if graph.num_vertices == 0:
         raise ValueError("the empty graph has no components")
     csr = get_csr(graph)
     labels = _component_labels(csr)
-    return _induced(csr, labels == _ranked_labels(labels)[0])
+    keep = labels == _ranked_labels(labels)[0]
+    if isinstance(graph, CSRGraph):
+        return induced_csr(csr, keep), _relabeling(keep)
+    return induced_graph(csr, keep), _relabeling(keep)
 
 
 def component_sizes(graph: Graph) -> List[int]:

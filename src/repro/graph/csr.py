@@ -23,7 +23,9 @@ what makes list-backend and csr-backend walks bit-for-bit comparable
 under a shared random stream.  :func:`graph_from_edge_sequence` runs the
 other way in bulk: it turns an edge sequence into the rows sequential
 ``Graph.add_edge`` calls would build, and hands back a :class:`Graph`
-over those rows with the CSR already attached.
+over those rows with the CSR already attached.  Callers that only walk
+and score skip the lists: :meth:`CSRGraph.from_edge_sequence` and
+:func:`induced_csr` give the same rows as a :class:`CSRGraph`.
 """
 
 from __future__ import annotations
@@ -134,9 +136,12 @@ class CSRGraph:
 
         The edges must be distinct; self-loops and out-of-range ids
         raise.  ``add_edge`` appends ``tails[i]`` to row ``heads[i]`` and
-        ``heads[i]`` to row ``tails[i]``, so one stable sort of the
-        interleaved half-edges by source vertex lays every row out in
-        insertion order.
+        ``heads[i]`` to row ``tails[i]``, so sorting the interleaved
+        half-edges by source vertex, ties by position, lays every row
+        out in insertion order.  The sort runs in place on the distinct
+        keys ``end * 2E + position``, which must fit in int64:
+        ``num_vertices * 2E`` above ``2**63`` raises :class:`ValueError`
+        before anything is allocated.
         """
         heads = np.asarray(heads, dtype=np.int64)
         tails = np.asarray(tails, dtype=np.int64)
@@ -150,11 +155,26 @@ class CSRGraph:
         if np.any(heads == tails):
             loop = int(heads[np.argmax(heads == tails)])
             raise ValueError(f"self-loops are not allowed (vertex {loop})")
+        half_edges = 2 * heads.size
+        if int(num_vertices) * half_edges > 2**63:
+            raise ValueError(
+                f"{num_vertices} vertices and {heads.size} edges overflow"
+                " the int64 row keys (num_vertices * 2E > 2**63)"
+            )
         ends = np.column_stack((heads, tails)).ravel()
         others = np.column_stack((tails, heads)).ravel()
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(np.bincount(ends, minlength=num_vertices), out=indptr[1:])
-        return cls(indptr, others[np.argsort(ends, kind="stable")], validate=False)
+        # The ends buffer becomes the keys end * 2E + position in place
+        # (a separate key array would add a 2E array to the peak).  They
+        # are distinct, so an unstable sort orders them as a stable sort
+        # by end would, and the remainder is the position.
+        order = ends
+        order *= half_edges
+        order += np.arange(half_edges, dtype=np.int64)
+        order.sort()
+        order %= half_edges
+        return cls(indptr, others[order], validate=False)
 
     @classmethod
     def from_edges(
@@ -386,8 +406,13 @@ def graph_from_edge_sequence(
     one shared int object per vertex id, and the membership sets are
     built on first use, so the graph costs little more than its rows.
     """
-    csr = CSRGraph.from_edge_sequence(heads, tails, num_vertices)
-    flat = np.arange(num_vertices, dtype=object)[csr.indices].tolist()
+    return _graph_over(CSRGraph.from_edge_sequence(heads, tails, num_vertices))
+
+
+def _graph_over(csr: CSRGraph) -> Graph:
+    """The :class:`Graph` whose neighbor lists are ``csr``'s rows, with
+    ``csr`` attached as its :func:`get_csr` cache."""
+    flat = np.arange(csr.num_vertices, dtype=object)[csr.indices].tolist()
     bounds = csr.indptr.tolist()
     graph = Graph._from_adjacency(
         [flat[start:stop] for start, stop in zip(bounds, bounds[1:])],
@@ -397,12 +422,13 @@ def graph_from_edge_sequence(
     return graph
 
 
-def induced_graph(csr: CSRGraph, keep: Optional[np.ndarray]) -> Graph:
-    """The :class:`Graph` induced by the vertices where ``keep`` is true
-    (all vertices for ``None``), relabeled densely in id order.
+def induced_csr(csr: CSRGraph, keep: Optional[np.ndarray]) -> CSRGraph:
+    """The subgraph induced by the vertices where ``keep`` is true (all
+    vertices for ``None``), relabeled densely in id order.
 
-    Built as the loop ``for u in kept: for v in row(u): if u < v and v
-    kept: add_edge(new[u], new[v])`` would build it, in one bulk pass.
+    Its rows are those the loop ``for u in kept: for v in row(u): if
+    u < v and v kept: add_edge(new[u], new[v])`` would build, laid out
+    in one bulk pass.
     """
     size = csr.num_vertices
     rows = np.repeat(np.arange(size, dtype=np.int64), np.diff(csr.indptr))
@@ -414,12 +440,18 @@ def induced_graph(csr: CSRGraph, keep: Optional[np.ndarray]) -> Graph:
         size = int(np.count_nonzero(keep))
         new_id = np.cumsum(keep, dtype=np.int64) - 1
         heads, tails = new_id[heads], new_id[tails]
-    # add_edge keeps the first copy of a repeated neighbor.
-    _, first = np.unique(heads * size + tails, return_index=True)
-    if first.size < heads.size:
+    keys = heads * size + tails
+    if np.any(np.diff(np.sort(keys)) == 0):
+        # add_edge keeps the first copy of a repeated neighbor.
+        _, first = np.unique(keys, return_index=True)
         first.sort()
         heads, tails = heads[first], tails[first]
-    return graph_from_edge_sequence(heads, tails, size)
+    return CSRGraph.from_edge_sequence(heads, tails, size)
+
+
+def induced_graph(csr: CSRGraph, keep: Optional[np.ndarray]) -> Graph:
+    """:func:`induced_csr` as a :class:`Graph` over the same rows."""
+    return _graph_over(induced_csr(csr, keep))
 
 
 def get_csr(graph: Union[Graph, CSRGraph]) -> CSRGraph:

@@ -7,13 +7,15 @@ functions mirror the definitions in Sections 2–4 of the paper.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Hashable, Iterable, Optional
+from typing import Callable, Dict, Hashable, Iterable, Optional, Union
 
 from repro.estimators.clustering import shared_neighbors
-from repro.estimators.streaming import _dense
+from repro.estimators.streaming import StreamingAssortativity, StreamingDegreePMF
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph
 from repro.graph.labels import VertexLabeling
+from repro.sampling.base import VertexTrace, WalkTrace
 from repro.util.stats import ccdf_from_pmf
 
 Label = Hashable
@@ -21,26 +23,22 @@ DegreeOf = Callable[[int], int]
 
 
 def true_degree_pmf(
-    graph: Graph, degree_of: Optional[DegreeOf] = None
+    graph: Union[Graph, CSRGraph], degree_of: Optional[DegreeOf] = None
 ) -> Dict[int, float]:
     """Exact ``theta_i``: fraction of vertices with degree label ``i``.
 
-    Dense on ``0 .. max``, like the estimators' output; a negative label
-    raises :class:`ValueError`.
+    One vertex-sample update of :class:`StreamingDegreePMF` over every
+    vertex.  Dense on ``0 .. max``, like the estimators' output; a
+    negative label raises :class:`ValueError`.
     """
     if graph.num_vertices == 0:
         raise ValueError("empty graph")
-    label = degree_of if degree_of is not None else graph.degree
-    counts: Dict[int, int] = {}
-    for v in graph.vertices():
-        key = label(v)
-        counts[key] = counts.get(key, 0) + 1
-    n = graph.num_vertices
-    return _dense({k: c / n for k, c in counts.items()})
+    everyone = VertexTrace("exact", list(graph.vertices()), 0.0, 0.0)
+    return StreamingDegreePMF(graph, degree_of).update(everyone).estimate()
 
 
 def true_degree_ccdf(
-    graph: Graph, degree_of: Optional[DegreeOf] = None
+    graph: Union[Graph, CSRGraph], degree_of: Optional[DegreeOf] = None
 ) -> Dict[int, float]:
     """Exact CCDF ``gamma_i = sum_{k > i} theta_k``."""
     return ccdf_from_pmf(true_degree_pmf(graph, degree_of))
@@ -95,28 +93,13 @@ def true_undirected_assortativity(graph: Graph) -> float:
     """Exact degree-degree Pearson correlation over edge orientations.
 
     Both orientations of every edge contribute, matching what a
-    stationary RW converges to on the symmetric graph.
+    stationary RW converges to on the symmetric graph: one update of
+    :class:`StreamingAssortativity` with every orientation as a trace.
     """
-    n = 0
-    sum_x = sum_y = sum_xx = sum_yy = sum_xy = 0.0
-    for u, v in graph.directed_edges():
-        x = float(graph.degree(u))
-        y = float(graph.degree(v))
-        n += 1
-        sum_x += x
-        sum_y += y
-        sum_xx += x * x
-        sum_yy += y * y
-        sum_xy += x * y
-    if n == 0:
+    if graph.num_edges == 0:
         raise ValueError("graph has no edges; assortativity is undefined")
-    mean_x = sum_x / n
-    mean_y = sum_y / n
-    var_x = sum_xx / n - mean_x * mean_x
-    var_y = sum_yy / n - mean_y * mean_y
-    if var_x <= 0 or var_y <= 0:
-        return 0.0
-    return (sum_xy / n - mean_x * mean_y) / math.sqrt(var_x * var_y)
+    every_edge = WalkTrace("exact", list(graph.directed_edges()), [], 0.0, 0.0)
+    return StreamingAssortativity(graph).update(every_edge).estimate()
 
 
 def true_directed_assortativity(digraph: DiGraph) -> float:

@@ -8,7 +8,7 @@ reproduces that comparison.
 
 Because MRW's vertex samples are already uniform, vertex label density
 is estimated by the *plain average* over visited vertices — no ``1/deg``
-reweighting (see :func:`repro.estimators.vertex_density.vertex_density_from_vertices`).
+reweighting (see :func:`repro.estimators.vertex_density.vertex_label_density_from_vertices`).
 """
 
 from __future__ import annotations

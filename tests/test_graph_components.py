@@ -3,6 +3,7 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from repro.graph.components import (
     is_connected,
     largest_connected_component,
 )
-from repro.graph.csr import get_csr
+from repro.graph.csr import CSRGraph, get_csr
 from repro.graph.graph import Graph
 
 
@@ -227,9 +228,12 @@ class TestCsrInput:
         lcc, mapping = largest_connected_component(graph)
         from_csr, csr_mapping = largest_connected_component(get_csr(graph))
         assert csr_mapping == mapping
-        assert from_csr.version == lcc.version
-        for v in lcc.vertices():
-            assert list(from_csr.neighbors(v)) == list(lcc.neighbors(v))
+        # The LCC has its input's type.
+        assert isinstance(lcc, Graph) and isinstance(from_csr, CSRGraph)
+        assert from_csr.num_edges == lcc.version
+        expected = get_csr(lcc)
+        assert np.array_equal(from_csr.indptr, expected.indptr)
+        assert np.array_equal(from_csr.indices, expected.indices)
 
     def test_empty_csr_rejected(self):
         with pytest.raises(ValueError):

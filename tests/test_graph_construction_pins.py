@@ -21,17 +21,19 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.estimators.streaming import StreamingGraphSize
 from repro.experiments import suite
-from repro.generators.ba import barabasi_albert
+from repro.generators.ba import ba_edges, barabasi_albert
 from repro.generators.composite import join_by_bridge
 from repro.generators.er import erdos_renyi_gnm
 from repro.graph.components import largest_connected_component
-from repro.graph.csr import get_csr
+from repro.graph.csr import CSRGraph, get_csr
+from repro.metrics.exact import true_degree_ccdf, true_degree_pmf
 from repro.sampling import _native
 from repro.sampling.frontier import FrontierSampler
 from repro.sampling.fused import FusedNeeds
@@ -151,7 +153,7 @@ def test_suite_er_family_is_pinned():
     assert _digest(csr.indices) == (
         "09dfeaa66223add04d9457899c5d253fa8a52ac4897c2753ef1a5dfc9df19343"
     )
-    assert graph.version == 7500
+    assert isinstance(graph, CSRGraph)
 
 
 def test_builds_keep_a_cached_gauss_and_the_stream_position():
@@ -225,3 +227,80 @@ def test_size_estimates_are_pinned(kernel, walked):
     assert _size_after_drains(walked, "list", 6) == [
         "1352.7237622815562", "2071.4453984070724", "2413.7919578576166",
     ]
+
+
+def _same_rows(csr: CSRGraph, graph) -> bool:
+    expected = get_csr(graph)
+    return np.array_equal(csr.indptr, expected.indptr) and np.array_equal(
+        csr.indices, expected.indices
+    )
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"edges_per_vertex": 2}])
+def test_suite_ba_family_is_the_ba_csr(kernel, kwargs):
+    built = suite._family_ba(2500, kwargs, 5)
+    assert isinstance(built, CSRGraph)
+    k = kwargs.get("edges_per_vertex", 3)
+    assert _same_rows(built, barabasi_albert(2500, k, rng=5))
+
+
+@pytest.mark.parametrize("lcc", [True, False])
+def test_suite_er_family_is_the_gnm_csr(kernel, lcc):
+    # Average degree 2: the LCC drops about a fifth of the vertices.
+    built = suite._family_er(3000, {"avg_degree": 2.0, "lcc": lcc}, 11)
+    assert isinstance(built, CSRGraph)
+    graph = erdos_renyi_gnm(3000, 3000, rng=11)
+    if lcc:
+        graph, _ = largest_connected_component(graph)
+        assert graph.num_vertices < 3000
+    assert _same_rows(built, graph)
+
+
+def test_ba_edges_draws_the_pinned_sequence(kernel):
+    _, indptr_sha, indices_sha, version, next_draw = CASES["ba-k3"]
+    ours, theirs = random.Random(SEED), random.Random(SEED)
+    heads, tails = ba_edges(2500, 3, rng=ours)
+    barabasi_albert(2500, 3, rng=theirs)
+    assert ours.getstate() == theirs.getstate()
+    assert ours.random() == next_draw
+    csr = CSRGraph.from_edge_sequence(heads, tails, 2500)
+    assert (_digest(csr.indptr), _digest(csr.indices), csr.num_edges) == (
+        indptr_sha,
+        indices_sha,
+        version,
+    )
+
+
+def test_from_edge_sequence_rejects_overflowing_row_keys():
+    # 2**62 vertices times 2E = 4 half-edges is 2**64 > 2**63: the
+    # row keys cannot be formed, and the check runs before indptr (an
+    # array of 2**62 + 1 int64) or any key buffer is allocated.
+    heads = np.array([0, 1], dtype=np.int64)
+    tails = np.array([1, 2], dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="overflow the int64 row keys"):
+            CSRGraph.from_edge_sequence(heads, tails, 2**62)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: barabasi_albert(3000, 2, rng=SEED),
+        # Hundreds of isolated vertices fill the degree-0 bin.
+        lambda: erdos_renyi_gnm(3000, 1600, rng=SEED),
+    ],
+)
+def test_exact_degree_truths_read_the_csr(build):
+    graph = build()
+    csr = get_csr(graph)
+    # A degree_of label runs the per-vertex loop; without one the
+    # truth counts the degree array with one bincount.
+    assert true_degree_pmf(csr) == true_degree_pmf(graph)
+    assert true_degree_pmf(graph) == true_degree_pmf(graph, graph.degree)
+    assert true_degree_ccdf(csr) == true_degree_ccdf(graph)
+    assert true_degree_ccdf(graph) == true_degree_ccdf(graph, graph.degree)
