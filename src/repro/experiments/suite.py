@@ -178,8 +178,8 @@ def _check_ws(size: int, kwargs: Mapping[str, Any], path: str) -> None:
 #: family -> (builder, allowed kwargs, check).  A check raises a
 #: :class:`SuiteSpecError` under its kwargs path when a size cannot be
 #: built with them.  Scenario graphs are only walked and scored, so BA
-#: and ER are built as :class:`CSRGraph`\ s straight from their edge
-#: buffers; Watts–Strogatz rewires with ``add_edge`` and stays a Graph.
+#: and ER are built as CSR graphs straight from their edge buffers;
+#: Watts–Strogatz rewires with ``add_edge`` and stays a ``Graph``.
 _FAMILIES: Dict[str, Tuple[Callable, frozenset, Callable]] = {
     "ba": (_family_ba, frozenset({"edges_per_vertex"}), _check_ba),
     "er": (_family_er, frozenset({"avg_degree", "lcc"}), _check_er),
