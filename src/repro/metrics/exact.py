@@ -6,11 +6,14 @@ functions mirror the definitions in Sections 2–4 of the paper.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, Hashable, Iterable, Optional, Union
 
 from repro.estimators.clustering import shared_neighbors
-from repro.estimators.streaming import StreamingAssortativity, StreamingDegreePMF
+from repro.estimators.streaming import (
+    StreamingAssortativity,
+    StreamingDegreePMF,
+    StreamingDirectedAssortativity,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph
@@ -104,24 +107,10 @@ def true_undirected_assortativity(graph: Graph) -> float:
 
 def true_directed_assortativity(digraph: DiGraph) -> float:
     """Exact directed assortativity over ``E_d`` with labels
-    ``(outdeg(u), indeg(v))`` (Newman 2002 eq. 25 in moment form)."""
-    n = 0
-    sum_x = sum_y = sum_xx = sum_yy = sum_xy = 0.0
-    for u, v in digraph.edges():
-        x = float(digraph.out_degree(u))
-        y = float(digraph.in_degree(v))
-        n += 1
-        sum_x += x
-        sum_y += y
-        sum_xx += x * x
-        sum_yy += y * y
-        sum_xy += x * y
-    if n == 0:
+    ``(outdeg(u), indeg(v))`` (Newman 2002 eq. 25 in moment form): one
+    update of :class:`StreamingDirectedAssortativity` with every arc as
+    a trace."""
+    if digraph.num_edges == 0:
         raise ValueError("digraph has no edges; assortativity is undefined")
-    mean_x = sum_x / n
-    mean_y = sum_y / n
-    var_x = sum_xx / n - mean_x * mean_x
-    var_y = sum_yy / n - mean_y * mean_y
-    if var_x <= 0 or var_y <= 0:
-        return 0.0
-    return (sum_xy / n - mean_x * mean_y) / math.sqrt(var_x * var_y)
+    every_arc = WalkTrace("exact", list(digraph.edges()), [], 0.0, 0.0)
+    return StreamingDirectedAssortativity(digraph).update(every_arc).estimate()
