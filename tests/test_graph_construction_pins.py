@@ -14,7 +14,9 @@ k = 20), G(2048, m) draws from a power-of-two range (about half of
 all words are redrawn), and the gauss case starts from a generator
 that holds a cached ``gauss_next``.  The size-estimator pins record
 ``StreamingGraphSize.num_vertices()`` after each absorb on both
-kernel paths.
+kernel paths.  The suite's BA and ER families build CSR graphs
+straight from edge buffers; on both kernel paths they must equal the
+CSR of the ``Graph`` builders.
 """
 
 from __future__ import annotations
