@@ -20,7 +20,6 @@ import os
 import tempfile
 
 from repro import FrontierSampler, SingleRandomWalk, barabasi_albert
-from repro.sampling import set_default_backend
 from repro.estimators import (
     assortativity_from_trace,
     degree_ccdf_from_trace,
@@ -34,12 +33,12 @@ from repro.metrics import (
 )
 
 
-def resume_demo(graph) -> None:
+def resume_demo(graph, backend: str) -> None:
     """Checkpoint a session mid-walk, resume it, stream the estimate."""
     from repro.estimators import StreamingDegreePMF
     from repro.sampling import load_session
 
-    sampler = FrontierSampler(dimension=256)
+    sampler = FrontierSampler(dimension=256, backend=backend)
     session = sampler.start(graph, rng=7)
     pmf = StreamingDegreePMF(graph)
     session.advance_budget(2_000)
@@ -85,7 +84,6 @@ def main() -> None:
         help="also demo session checkpoint/resume + streaming estimation",
     )
     args = parser.parse_args()
-    set_default_backend(args.backend)
 
     # A scale-free graph with 20k vertices — the kind of topology the
     # paper's crawled social networks exhibit.
@@ -97,7 +95,7 @@ def main() -> None:
     # Frontier Sampling: one coordinated process driving 256 walkers,
     # seeded at uniformly random vertices.  The budget counts vertex
     # queries: 256 seeds + 3,744 walk steps = 4,000 total.
-    sampler = FrontierSampler(dimension=256)
+    sampler = FrontierSampler(dimension=256, backend=args.backend)
     trace = sampler.sample(graph, budget=4_000, rng=7)
     print(f"\nsampled {trace.num_steps:,} edges"
           f" ({trace.spent():.0f} budget units spent)")
@@ -124,8 +122,12 @@ def main() -> None:
     fs_estimates, rw_estimates = [], []
     true_gamma10 = truth[10]
     for seed in range(20):
-        fs_trace = FrontierSampler(256).sample(graph, 4_000, rng=seed)
-        rw_trace = SingleRandomWalk().sample(graph, 4_000, rng=seed)
+        fs_trace = FrontierSampler(256, backend=args.backend).sample(
+            graph, 4_000, rng=seed
+        )
+        rw_trace = SingleRandomWalk(backend=args.backend).sample(
+            graph, 4_000, rng=seed
+        )
         fs_estimates.append(
             degree_ccdf_from_trace(graph, fs_trace).get(10, 0.0)
         )
@@ -137,7 +139,7 @@ def main() -> None:
           f"  SingleRW {nmse(rw_estimates, true_gamma10):.3f}")
 
     if args.resume:
-        resume_demo(graph)
+        resume_demo(graph, args.backend)
 
 
 if __name__ == "__main__":

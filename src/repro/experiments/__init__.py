@@ -35,11 +35,6 @@ from repro.experiments.engine import (
     default_budget_schedule,
     run_plan,
 )
-from repro.experiments.runner import (
-    replicate,
-    replicate_incremental,
-    replicate_traces,
-)
 from repro.experiments.samplepaths import SamplePathResult, sample_paths
 from repro.experiments.suite import (
     Scenario,
@@ -65,9 +60,6 @@ __all__ = [
     "degree_error_budget_sweep",
     "degree_error_experiment",
     "load_suite",
-    "replicate",
-    "replicate_incremental",
-    "replicate_traces",
     "run_plan",
     "run_suite",
     "sample_paths",

@@ -228,7 +228,6 @@ def burn_in_ablation(
     identical trace per level — same numbers, len(burn_ins)x the
     walking).
     """
-    from repro.sampling.base import WalkTrace
     from repro.sampling.burnin import discard_burn_in
     from repro.estimators.degree import degree_ccdf_from_trace
     from repro.metrics.errors import nmse_curve
@@ -248,16 +247,6 @@ def burn_in_ablation(
         trace = collector.trace()
         if method == fs_name:
             return degree_ccdf_from_trace(graph, trace)
-        if type(trace) is not WalkTrace:
-            # Array-backed traces are not plain dataclasses, which
-            # dataclasses.replace (inside discard_burn_in) requires.
-            trace = WalkTrace(
-                method=trace.method,
-                edges=list(trace.edges),
-                initial_vertices=list(trace.initial_vertices),
-                budget=trace.budget,
-                seed_cost=trace.seed_cost,
-            )
         by_level = {}
         for burn in levels:
             burned = discard_burn_in(trace, burn)

@@ -36,7 +36,6 @@ import time
 from typing import Callable, Dict
 
 from repro.experiments import ablations, figures, tables
-from repro.sampling.base import use_backend
 
 #: experiment id -> (driver, accepts_runs)
 _EXPERIMENTS: Dict[str, Callable] = {
@@ -69,11 +68,17 @@ _NO_RUNS = {"table1", "fig3", "fig6", "fig7", "fig9"}
 #: drivers that do not take a ``scale`` argument
 _NO_SCALE = {"table4"}  # table4 sizes its own miniature graphs
 #: descriptive drivers with nothing to replicate, hence no ``--procs``
-_NO_PROCS = {"table1", "fig3", "fig7"}
+#: and no ``--backend``
+_DESCRIPTIVE = {"table1", "fig3", "fig7"}
 
 
 def _run_one(
-    name: str, scale: float, runs: int, procs=None, executor=None
+    name: str,
+    scale: float,
+    runs: int,
+    procs=None,
+    executor=None,
+    backend=None,
 ) -> str:
     driver = _EXPERIMENTS[name]
     kwargs = {}
@@ -84,10 +89,13 @@ def _run_one(
             kwargs["mc_runs"] = max(1000, runs * 100)
         else:
             kwargs["runs"] = runs
-    if procs is not None and name not in _NO_PROCS:
-        kwargs["procs"] = procs
-        if executor is not None:
-            kwargs["executor"] = executor
+    if name not in _DESCRIPTIVE:
+        if backend is not None:
+            kwargs["backend"] = backend
+        if procs is not None:
+            kwargs["procs"] = procs
+            if executor is not None:
+                kwargs["executor"] = executor
     result = driver(**kwargs)
     return result.render()
 
@@ -489,9 +497,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend",
         choices=("list", "csr"),
-        default="list",
-        help="sampling backend: 'list' (interpreted, paper-literal"
-        " draw protocol) or 'csr' (vectorized fast path; default list)",
+        default=None,
+        help="sampling backend passed to each replicating driver:"
+        " 'list' (interpreted, paper-literal draw protocol) or 'csr'"
+        " (vectorized fast path); unset, the drivers run the list"
+        " walkers, or the shared CSR under --procs",
     )
     parser.add_argument(
         "--procs",
@@ -518,6 +528,11 @@ def main(argv=None) -> int:
         parser.error("--procs must be >= 1")
     if args.executor is not None and args.procs is None:
         parser.error("--executor requires --procs")
+    if args.backend == "list" and args.procs is not None:
+        parser.error(
+            "--procs runs sessions over shared CSR buffers; it cannot"
+            " be combined with --backend list"
+        )
 
     if args.list:
         for name in _EXPERIMENTS:
@@ -533,21 +548,25 @@ def main(argv=None) -> int:
         if args.experiment == "all"
         else [args.experiment]
     )
-    with use_backend(args.backend):
-        for name in names:
-            if name not in _EXPERIMENTS:
-                print(
-                    f"unknown experiment {name!r}; use --list",
-                    file=sys.stderr,
-                )
-                return 2
-            started = time.time()
+    for name in names:
+        if name not in _EXPERIMENTS:
             print(
-                _run_one(
-                    name, args.scale, args.runs, args.procs, args.executor
-                )
+                f"unknown experiment {name!r}; use --list",
+                file=sys.stderr,
             )
-            print(f"  [{name} finished in {time.time() - started:.1f}s]\n")
+            return 2
+        started = time.time()
+        print(
+            _run_one(
+                name,
+                args.scale,
+                args.runs,
+                args.procs,
+                args.executor,
+                args.backend,
+            )
+        )
+        print(f"  [{name} finished in {time.time() - started:.1f}s]\n")
     return 0
 
 

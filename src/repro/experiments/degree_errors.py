@@ -169,12 +169,15 @@ def degree_error_experiment(
     zero everywhere — the estimator had its chance and produced
     nothing, which is an error, not a skip.
 
-    ``backend`` (optional) pins the sampling backend for every run;
-    ``backend="csr"`` makes the whole pipeline array-native — the
-    batch walkers emit :class:`~repro.sampling.vectorized.ArrayWalkTrace`
-    and the degree estimators reweight over its arrays without ever
-    materializing Python tuples.  ``None`` keeps the process default
-    (which the CLI's ``--backend`` flag already controls).
+    ``backend="csr"`` opens every walk sampler not pinned to
+    ``backend="list"`` on the graph's CSR, which makes the whole
+    pipeline array-native — the batch walkers emit
+    :class:`~repro.sampling.vectorized.ArrayWalkTrace` and the degree
+    estimators reweight over its arrays without ever materializing
+    Python tuples.  ``None`` leaves each sampler on its own
+    ``backend=`` and the graph's type: the list walkers for a
+    :class:`~repro.graph.graph.Graph` (unless ``procs`` is given).  The
+    CLI's ``--backend`` flag passes its value here.
 
     ``procs`` fans the replicates of each pool-capable sampler across
     that many worker processes over shared CSR buffers (see

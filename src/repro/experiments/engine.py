@@ -21,15 +21,15 @@ and snapshot hooks — and :func:`run_plan` executes it:
   through ``absorb_block`` or ``update``; the plan's ``snapshot`` hook
   then records the measurement.  Both paths give bit-identical rows;
 - **multi-process fan-out**: ``run_plan(plan, replicates, procs=N)``
-  ships the replicates of pool-capable samplers to a spawn-safe
-  :class:`~repro.sampling.sharded.ShardedSessionPool` sharing the
-  graph through mmap'd read-only CSR buffers; its workers run the same
-  checkpoint loop and return the items (blocks of counts rather than
-  O(steps) traces whenever the accumulator fuses).  Every replicate
-  derives its RNG as ``child_rng(seed, index)`` no matter which
-  process runs it, and accumulation always happens in the parent in
-  replicate order, so ``procs=1`` and ``procs=8`` are bit-identical —
-  parallelism is a deployment knob, never a statistics change.
+  with ``N > 1`` ships the replicates of pool-capable samplers to a
+  spawn-safe :class:`~repro.sampling.sharded.ShardedSessionPool`
+  sharing the graph through mmap'd read-only CSR buffers; its workers
+  run the same checkpoint loop and return the items (blocks of counts
+  rather than O(steps) traces whenever the accumulator fuses).  Every
+  replicate derives its RNG as ``child_rng(seed, index)`` no matter
+  which process runs it, and accumulation always happens in the parent
+  in replicate order, so ``procs=1`` and ``procs=8`` are bit-identical
+  — parallelism is a deployment knob, never a statistics change.
 
 Replicate seeding matches the historical drivers exactly: method
 ``i`` of the sorted grid replicates with child streams of
@@ -38,35 +38,34 @@ Replicate seeding matches the historical drivers exactly: method
 output bit for bit (or to float-summation noise where a streaming
 accumulator replaces a batch estimator) at ``procs=None``.
 
-Backend semantics:
+Substrate semantics.  A session runs on what its sampler's
+``backend=`` and the graph it is opened on say, and nothing else:
 
-- ``procs=None`` (the default) replicates in-process on
-  ``plan.backend`` (``None`` = the process default) — the exact
-  historical driver behavior.
-- ``procs >= 1`` runs pool-capable samplers' sessions over shared CSR
-  buffers (inline when ``procs == 1``, spawn workers otherwise); the
-  numpy draw protocol differs from the list backend's, so results
-  match ``plan.backend="csr"`` runs, not list-backend runs.
-  Samplers that do not run through the pool (the independent
-  vertex/edge probes, anything explicitly pinned to
-  ``backend="list"``, and
+- a pool-capable sampler (SRW, MHRW, MultipleRW or FS not pinned to
+  ``backend="list"``) opens on the graph's CSR
+  (:func:`~repro.graph.csr.get_csr`) when ``plan.backend="csr"`` or
+  ``procs`` is given.  The numpy draw protocol differs from the list
+  backend's, so ``procs`` runs match ``plan.backend="csr"`` runs, not
+  list-backend runs;
+- every other sampler opens on the graph as given: the independent
+  vertex/edge probes, anything pinned to ``backend="list"``, and
   :class:`~repro.sampling.sharded.ShardedFrontierSampler`, which fans
-  out through its own ``procs``) replicate in-process regardless of
-  ``procs`` — with identical streams for every ``procs`` value, so the
-  procs-invariance guarantee holds method by method.
+  out through its own ``procs``.  Their streams are the same for every
+  ``procs`` value, so the procs-invariance guarantee holds method by
+  method.
+
+``procs=None`` and ``procs=1`` run one inline loop; a pool is built
+only for ``procs > 1``.
 """
 
 from __future__ import annotations
 
-import random
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -77,22 +76,21 @@ from typing import (
 
 import numpy as np
 
+from repro.graph.csr import get_csr
 from repro.sampling.base import (
     Backend,
     Sampler,
     VertexTrace,
     WalkTrace,
     check_backend,
-    use_backend,
 )
-from repro.sampling.fused import FusedBlock, FusedNeeds, merge_needs
+from repro.sampling.fused import FusedBlock, merge_needs
 from repro.sampling.session import default_session_starter, record_checkpoints
 from repro.sampling.frontier import FrontierSampler
 from repro.sampling.metropolis import MetropolisHastingsWalk, MetropolisTrace
 from repro.sampling.multiple import MultipleRandomWalk
 from repro.sampling.single import SingleRandomWalk
 from repro.sampling.vectorized import ArrayMetropolisTrace, ArrayWalkTrace
-from repro.util.rng import child_rng
 
 __all__ = [
     "METHOD_SEED_STRIDE",
@@ -103,8 +101,6 @@ __all__ = [
     "concat_traces",
     "default_budget_schedule",
     "default_starter",
-    "map_incremental",
-    "map_replicates",
     "run_plan",
 ]
 
@@ -120,10 +116,9 @@ Starter = Callable[[Sampler, Any, int, int], Any]
 #: drivers, kept so ported drivers reproduce their historical streams.
 METHOD_SEED_STRIDE = 7919
 
-#: Sampler types whose sessions run on the csr backend and can
-#: therefore execute inside spawn workers over shared CSR buffers.
-#: Everything else replicates in-process (deterministically, for any
-#: ``procs``).
+#: Sampler types whose sessions can run on the shared CSR, inline or
+#: inside spawn workers.  Everything else opens on the graph as given
+#: and replicates inline (deterministically, for any ``procs``).
 _POOL_SAFE_TYPES = (
     SingleRandomWalk,
     MultipleRandomWalk,
@@ -134,9 +129,8 @@ _POOL_SAFE_TYPES = (
 
 #: The engine's default starter IS the pool workers' default starter
 #: (one definition in :mod:`repro.sampling.session`): the same
-#: ``child_rng(root_seed, index)`` stream derivation ``replicate``
-#: hands out, which is what keeps in-process and pooled replication
-#: bit-identical by construction.
+#: ``child_rng(root_seed, index)`` stream derivation, which is what
+#: keeps inline and pooled replication bit-identical by construction.
 default_starter = default_session_starter
 
 
@@ -155,7 +149,8 @@ def default_budget_schedule(budget: float, points: int = 8) -> List[float]:
 
 
 def _pool_capable(sampler: Any) -> bool:
-    """Whether ``sampler`` may run inside spawn workers over shared CSR."""
+    """Whether ``sampler`` may run over the shared CSR (inline or in
+    spawn workers)."""
     if not isinstance(sampler, _POOL_SAFE_TYPES):
         return False
     if getattr(sampler, "backend", None) == "list":
@@ -417,6 +412,8 @@ class MethodRun:
     #: re-walked per point would show ~``sum_i steps_i`` here; the
     #: engine shows the final checkpoint's step count.
     steps_taken: List[int] = field(default_factory=list)
+    #: Whether the sessions ran on the graph's shared CSR (inline or in
+    #: pool workers) rather than on the graph as given.
     pooled: bool = False
 
     @property
@@ -466,35 +463,6 @@ class PlanResult:
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
-def _replicate_anytime(
-    sampler: Any,
-    graph: Any,
-    checkpoints: List[float],
-    replicates: int,
-    seed: int,
-    starter: Starter,
-    schedule: str,
-    backend: Optional[Backend],
-    needs: Optional[FusedNeeds],
-) -> Iterator[Tuple[List[Any], int]]:
-    """In-process anytime replication: one session per replicate,
-    advanced through every checkpoint by the same
-    :func:`~repro.sampling.session.record_checkpoints` loop the pooled
-    workers run.  Yields ``(items, steps)`` rows lazily in replicate
-    order, so the consumer holds one replicate's items at a time.  The
-    backend context wraps each replicate's session (the default
-    backend is only read at ``sampler.start``), not the suspended
-    generator frame."""
-    for index in range(replicates):
-        context = (
-            use_backend(backend) if backend is not None else nullcontext()
-        )
-        with context:
-            session = starter(sampler, graph, seed, index)
-            row = record_checkpoints(session, schedule, checkpoints, needs)
-        yield row
-
-
 def run_plan(
     plan: ExperimentPlan,
     replicates: int,
@@ -504,14 +472,15 @@ def run_plan(
     """Execute ``plan`` with ``replicates`` independent sessions per
     method.
 
-    ``procs=None`` replicates in-process on ``plan.backend`` (the
-    historical driver behavior).  ``procs >= 1`` runs pool-capable
-    samplers over shared CSR buffers — inline for ``procs == 1``,
-    otherwise fanned out by ``executor``: ``"spawn"`` (the default)
-    ships sessions to worker processes, ``"thread"`` drives them from
-    a thread pool over the in-process graph (no spill, no pickling;
-    the native kernels release the GIL), ``"auto"`` picks threads
-    exactly when they can scale (see
+    A pool-capable sampler opens its sessions on the graph's CSR when
+    ``plan.backend="csr"`` or ``procs`` is given; every other sampler
+    opens on the graph as given (see the module docstring).
+    ``procs=None`` and ``procs=1`` run every replicate inline.
+    ``procs > 1`` fans the CSR sessions out by ``executor``:
+    ``"spawn"`` (the default) ships them to worker processes,
+    ``"thread"`` drives them from a thread pool over the in-process
+    graph (no spill, no pickling; the native kernels release the GIL),
+    ``"auto"`` picks threads exactly when they can scale (see
     :func:`repro.sampling.sharded.resolve_executor`).  Results are
     bit-identical for every ``procs`` value and executor at a fixed
     seed.  Accumulation and snapshots always run in the parent
@@ -554,15 +523,17 @@ def run_plan(
             checkpoints = plan.checkpoints_for(method)
             seed = plan.seed_for(method, method_index)
             starter = plan.starter_for(method)
-            pooled = procs is not None and _pool_capable(sampler)
+            on_csr = _pool_capable(sampler) and (
+                plan.backend == "csr" or procs is not None
+            )
             # Block statistics the plan's accumulator can absorb (probed
             # on a throwaway accumulator), or None for the trace path.
             needs = merge_needs((plan.accumulator_for(method),))
             run = MethodRun(
-                method=method, checkpoints=checkpoints, pooled=pooled
+                method=method, checkpoints=checkpoints, pooled=on_csr
             )
             rows: Iterable[Tuple[List[Any], int]]
-            if pooled:
+            if on_csr and procs is not None and procs > 1:
                 if pool is None:
                     from repro.sampling.sharded import ShardedSessionPool
 
@@ -580,16 +551,17 @@ def run_plan(
                     needs=needs,
                 )
             else:
-                rows = _replicate_anytime(
-                    sampler,
-                    graph,
-                    checkpoints,
-                    replicates,
-                    seed,
-                    starter,
-                    plan.schedule,
-                    plan.backend,
-                    needs,
+                # The pool workers' loop, run inline: rows are produced
+                # lazily, so one replicate's items are held at a time.
+                substrate = get_csr(graph) if on_csr else graph
+                rows = (
+                    record_checkpoints(
+                        starter(sampler, substrate, seed, index),
+                        plan.schedule,
+                        checkpoints,
+                        needs,
+                    )
+                    for index in range(replicates)
                 )
             for items, steps in rows:
                 accumulator = plan.accumulator_for(method)
@@ -609,60 +581,3 @@ def run_plan(
         if pool is not None:
             pool.close()
     return result
-
-
-# ----------------------------------------------------------------------
-# the bare replication primitives (what experiments.runner wraps)
-# ----------------------------------------------------------------------
-def map_replicates(
-    run: Callable[[random.Random], Any],
-    runs: int,
-    root_seed: int = 0,
-    backend: Optional[Backend] = None,
-) -> List[Any]:
-    """``[run(child_rng(root_seed, i)) for i in range(runs)]`` with an
-    optional pinned backend — the engine's bare in-process replication
-    core.  Prefer :func:`run_plan` for experiments; this primitive
-    exists for ad-hoc Monte Carlo loops."""
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    context = use_backend(backend) if backend is not None else nullcontext()
-    with context:
-        return [run(child_rng(root_seed, index)) for index in range(runs)]
-
-
-def map_incremental(
-    start: Callable[[random.Random], Any],
-    measure: Callable[[Any, float], Any],
-    budgets: Checkpoints,
-    runs: int,
-    root_seed: int = 0,
-    backend: Optional[Backend] = None,
-) -> List[List[Any]]:
-    """Anytime replication over caller-managed sessions.
-
-    For each of ``runs`` child streams, ``start(rng)`` opens a session
-    (anything with ``advance_budget``), which is advanced through the
-    ascending ``budgets``; ``measure(session, budget)`` records each
-    checkpoint.  Prefer :func:`run_plan` (it adds draining, pooled
-    fan-out and step accounting); this primitive backs
-    ``experiments.runner.replicate_incremental``.
-    """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    checkpoints = [float(b) for b in budgets]
-    if not checkpoints:
-        raise ValueError("budgets must be non-empty")
-    if any(b > a for b, a in zip(checkpoints, checkpoints[1:])):
-        raise ValueError(f"budgets must be non-decreasing, got {budgets}")
-    context = use_backend(backend) if backend is not None else nullcontext()
-    results: List[List[Any]] = []
-    with context:
-        for index in range(runs):
-            session = start(child_rng(root_seed, index))
-            row: List[Any] = []
-            for budget in checkpoints:
-                session.advance_budget(budget)
-                row.append(measure(session, budget))
-            results.append(row)
-    return results

@@ -29,12 +29,9 @@ from repro.sampling.base import (
     SeedingMode,
     VertexTrace,
     WalkTrace,
-    get_default_backend,
-    set_default_backend,
     stationary_seeds,
     steps_within_budget,
     uniform_seeds,
-    use_backend,
 )
 from repro.sampling.frontier import FrontierSampler
 from repro.sampling.independent import RandomEdgeSampler, RandomVertexSampler
@@ -69,13 +66,10 @@ __all__ = [
     "VALID_EXECUTORS",
     "VertexTrace",
     "WalkTrace",
-    "get_default_backend",
     "load_session",
     "resolve_executor",
-    "set_default_backend",
     "stationary_seeds",
     "steps_within_budget",
     "threads_can_scale",
     "uniform_seeds",
-    "use_backend",
 ]

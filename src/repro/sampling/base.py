@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import abc
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.util.alias import AliasTable
-from repro.util.backends import VALID_BACKENDS, check_backend_name
-from repro.util.reentrancy import non_reentrant
+from repro.util.backends import check_backend_name
 from repro.util.rng import RngLike
 
 Edge = Tuple[int, int]
@@ -42,61 +40,26 @@ _VALID_SEEDING = ("uniform", "stationary")
 #:   its streams differ from the list backend's for the same seed.
 Backend = str
 
-_VALID_BACKENDS = VALID_BACKENDS
-
-_default_backend: Backend = "list"
-
-#: The single validation point for backend names (shared with the
-#: graph-I/O and dataset layers via util.backends).
-_require_backend = check_backend_name
-
 
 def check_backend(backend: Optional[Backend]) -> Optional[Backend]:
-    """Validate a backend choice early (``None`` = use the default)."""
-    if backend is None:
-        return None
-    return _require_backend(backend)
+    """Validate a backend choice early (``None`` = decide by graph type).
 
-
-@non_reentrant("swaps the process-wide default backend")
-def set_default_backend(backend: Backend) -> None:
-    """Set the process-wide backend used when samplers don't pin one.
-
-    This is how the experiment CLI opts every figure/table pipeline
-    into the fast path without threading a parameter through each
-    driver.
+    Names are checked by :func:`repro.util.backends.check_backend_name`,
+    the one validation point the graph-I/O and dataset layers share.
     """
-    global _default_backend
-    _default_backend = _require_backend(backend)
-
-
-def get_default_backend() -> Backend:
-    return _default_backend
-
-
-@non_reentrant("swaps the process-wide default backend for its scope")
-@contextmanager
-def use_backend(backend: Backend):
-    """Temporarily switch the default backend (restores on exit)."""
-    previous = get_default_backend()
-    set_default_backend(backend)
-    try:
-        yield
-    finally:
-        set_default_backend(previous)
+    return None if backend is None else check_backend_name(backend)
 
 
 def resolve_backend(backend: Optional[Backend], graph=None) -> Backend:
     """The backend a ``sample`` call should run on.
 
-    Explicit sampler setting wins, else the process default.  A
-    :class:`~repro.graph.csr.CSRGraph` input forces "csr" (the
-    interpreted walkers cannot run on packed arrays) and conflicts
-    loudly with an explicit "list" request.
+    An explicit sampler setting wins; otherwise the graph's type
+    decides: "csr" for a :class:`~repro.graph.csr.CSRGraph`, "list"
+    for anything else.  A ``CSRGraph`` input conflicts loudly with an
+    explicit "list" request (the interpreted walkers cannot run on
+    packed arrays).
     """
-    resolved = (
-        _default_backend if backend is None else _require_backend(backend)
-    )
+    check_backend(backend)
     if isinstance(graph, CSRGraph):
         if backend == "list":
             raise TypeError(
@@ -104,7 +67,7 @@ def resolve_backend(backend: Optional[Backend], graph=None) -> Backend:
                 " to_graph() or drop the explicit backend"
             )
         return "csr"
-    return resolved
+    return backend or "list"
 
 
 @dataclass

@@ -398,9 +398,8 @@ def default_session_starter(
     """Open replicate ``index``'s session on its ``child_rng`` stream.
 
     THE replicate-stream derivation — the one
-    :func:`repro.experiments.runner.replicate` hands out, the one
-    :class:`~repro.sampling.sharded.ShardedSessionPool` workers use,
-    and the experiment engine's default starter.  A single definition
+    :class:`~repro.sampling.sharded.ShardedSessionPool` workers use and
+    the experiment engine's default starter.  A single definition
     keeps in-process and pooled replication bit-identical by
     construction.
     """

@@ -743,9 +743,9 @@ class ShardedSessionPool(_SpawnPoolMixin):
     The graph crosses the process boundary as mmap'd read-only CSR
     buffers (spilled to a temp directory unless already file-backed);
     each run derives its RNG as ``child_rng(root_seed, index)`` —
-    exactly the stream :func:`repro.experiments.runner.replicate`
-    hands out — so ``pool.run(sampler, budget, runs)`` reproduces the
-    in-process replication bit for bit, just fanned out.
+    exactly the stream the experiment engine's inline loop hands out
+    — so ``pool.run(sampler, budget, runs)`` reproduces the in-process
+    replication bit for bit, just fanned out.
 
     Suited to samplers whose sessions run on the csr backend: SRW,
     MHRW, MultipleRW, FS.  :class:`ShardedFrontierSampler` is rejected

@@ -52,8 +52,8 @@ def non_reentrant(reason: str) -> Callable[[_F], _F]:
     """Mark a helper unsafe to call from concurrent thread-core tasks.
 
     ``reason`` is mandatory — it documents *what* global state the
-    helper mutates (e.g. "writes the per-process worker globals" or
-    "swaps the process-wide default backend") and is surfaced by
+    helper mutates (e.g. "writes the per-process worker globals" on
+    the spawn pool's initializer) and is surfaced by
     :func:`non_reentrant_reason` and the RPL003 diagnostics.
     """
     if not isinstance(reason, str) or not reason.strip():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import figures
 from repro.experiments.cli import _EXPERIMENTS, main
 
 
@@ -71,6 +72,46 @@ class TestCli:
     def test_bad_procs_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig10", "--scale", "0.05", "--procs", "0"])
+
+
+class TestBackendFlag:
+    """``--backend`` reaches the drivers as their ``backend=`` argument,
+    and only when it is given."""
+
+    ARGV = ["fig1", "--scale", "0.05", "--runs", "2"]
+
+    @staticmethod
+    def _render(capsys, argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        return out.split("  [fig1 finished in")[0]
+
+    def test_csr_is_passed_to_the_driver(self, capsys):
+        expected = figures.fig1(scale=0.05, runs=2, backend="csr").render()
+        assert self._render(capsys, self.ARGV + ["--backend", "csr"]) == (
+            expected + "\n"
+        )
+
+    def test_unset_runs_the_list_backend(self, capsys):
+        expected = figures.fig1(scale=0.05, runs=2, backend="list").render()
+        rendered = self._render(capsys, self.ARGV)
+        assert rendered == expected + "\n"
+        csr = figures.fig1(scale=0.05, runs=2, backend="csr").render()
+        assert rendered != csr + "\n"  # the flag selects a stream
+
+    def test_list_with_procs_refused_before_running(
+        self, capsys, monkeypatch
+    ):
+        def must_not_run(**kwargs):
+            raise AssertionError("driver ran despite the refused flags")
+
+        monkeypatch.setitem(_EXPERIMENTS, "fig1", must_not_run)
+        with pytest.raises(SystemExit) as refused:
+            main(self.ARGV + ["--backend", "list", "--procs", "2"])
+        assert refused.value.code == 2
+        captured = capsys.readouterr()
+        assert "--backend list" in captured.err
+        assert captured.out == ""
 
 
 class TestSampleSubcommand:

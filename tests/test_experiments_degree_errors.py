@@ -117,8 +117,6 @@ class TestResultHelpers:
 class TestBackendThreading:
     def test_csr_backend_runs_end_to_end(self, small_graph):
         """backend="csr" pins the fast path for the whole experiment."""
-        from repro.sampling.base import get_default_backend
-
         result = degree_error_experiment(
             small_graph,
             {"FS": FrontierSampler(10), "SingleRW": SingleRandomWalk()},
@@ -130,7 +128,6 @@ class TestBackendThreading:
         )
         assert set(result.curves) == {"FS", "SingleRW"}
         assert all(result.curves[m] for m in result.curves)
-        assert get_default_backend() == "list"  # restored afterwards
 
     def test_backends_agree_statistically(self, small_graph):
         """Same chain law on both backends: comparable mean errors."""

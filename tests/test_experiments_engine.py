@@ -20,7 +20,9 @@ from repro.sampling import (
     FrontierSampler,
     MetropolisHastingsWalk,
     MultipleRandomWalk,
+    RandomEdgeSampler,
     RandomVertexSampler,
+    ShardedFrontierSampler,
     SingleRandomWalk,
 )
 from repro.sampling.base import VertexTrace, walk_steps
@@ -36,6 +38,17 @@ EXECUTOR = os.environ.get("REPRO_EXECUTOR") or None
 @pytest.fixture(scope="module")
 def graph():
     return barabasi_albert(400, 2, rng=3)
+
+
+def _trace_record(trace):
+    """What a trace of either backend records, as plain values."""
+    return (
+        type(trace).__name__,
+        getattr(trace, "vertices", None),
+        getattr(trace, "edges", None),
+        getattr(trace, "visited", None),
+        trace.budget,
+    )
 
 
 class TestPlanValidation:
@@ -315,20 +328,37 @@ class TestProcsFanOut:
             assert ta.vertices == tb.vertices
 
     def test_procs_one_matches_backend_csr_in_process(self, graph):
+        """The routing rule: on a backend="csr" plan, procs=None and
+        procs=1 run the same inline loop on the same substrates, and
+        exactly the four walk samplers run on the shared CSR."""
         plan = ExperimentPlan(
             title="t",
             graph=graph,
-            samplers={"FS": FrontierSampler(6)},
+            samplers={
+                "SRW": SingleRandomWalk(),
+                "MHRW": MetropolisHastingsWalk(),
+                "MultipleRW": MultipleRandomWalk(4),
+                "FS": FrontierSampler(6),
+                "RV": RandomVertexSampler(),
+                "RE": RandomEdgeSampler(),
+                "DFS": ShardedFrontierSampler(6, procs=1),
+            },
             budgets=[100, 250],
             backend="csr",
         )
         inproc = run_plan(plan, 3)
         inline = run_plan(plan, 3, procs=1)
-        assert inline.run("FS").pooled
-        for ra, rb in zip(inproc.run("FS").rows, inline.run("FS").rows):
-            for ta, tb in zip(ra, rb):
-                assert (ta.step_sources == tb.step_sources).all()
-                assert (ta.step_targets == tb.step_targets).all()
+        walks = {"SRW", "MHRW", "MultipleRW", "FS"}
+        for outcome in (inproc, inline):
+            pooled = {m for m, run in outcome.methods.items() if run.pooled}
+            assert pooled == walks
+        for method in plan.samplers:
+            a, b = inproc.run(method), inline.run(method)
+            assert a.steps_taken == b.steps_taken
+            for ra, rb in zip(a.rows, b.rows):
+                assert [_trace_record(t) for t in ra] == [
+                    _trace_record(t) for t in rb
+                ]
 
     def test_spawn_procs_bit_identical_to_inline(self, graph):
         """Real spawn workers: procs=1 and procs=SPAWN_PROCS agree bit

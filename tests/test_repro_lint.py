@@ -514,14 +514,10 @@ class TestRegistryAdoption:
         assert is_thread_core(sharded._anytime_task)
 
     def test_global_mutators_are_marked_non_reentrant(self):
-        from repro.sampling import base, sharded
+        from repro.sampling import sharded
         from repro.util.reentrancy import non_reentrant_reason
 
         assert "worker globals" in non_reentrant_reason(sharded._worker_init)
-        assert "default backend" in non_reentrant_reason(
-            base.set_default_backend
-        )
-        assert non_reentrant_reason(base.use_backend) is not None
 
     def test_non_reentrant_requires_a_reason(self):
         from repro.util.reentrancy import non_reentrant

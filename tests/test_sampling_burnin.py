@@ -1,11 +1,56 @@
-"""Tests for burn-in handling."""
+"""Tests for burn-in handling, on both backends' traces."""
 
 import pytest
 
+from repro.generators.ba import barabasi_albert
+from repro.sampling.base import WalkTrace
 from repro.sampling.burnin import discard_burn_in, effective_sample_count
 from repro.sampling.frontier import FrontierSampler
+from repro.sampling.metropolis import MetropolisHastingsWalk, MetropolisTrace
 from repro.sampling.multiple import MultipleRandomWalk
+from repro.sampling.sharded import ShardedFrontierSampler
 from repro.sampling.single import SingleRandomWalk
+
+#: Every walk sampler on both backends (the clocked walkers are csr-only).
+WALKS = [
+    pytest.param(factory, backend, id=f"{name}-{backend}")
+    for name, factory in [
+        ("SRW", lambda backend: SingleRandomWalk(backend=backend)),
+        ("MultipleRW", lambda backend: MultipleRandomWalk(4, backend=backend)),
+        ("FS", lambda backend: FrontierSampler(4, backend=backend)),
+        ("MRW", lambda backend: MetropolisHastingsWalk(backend=backend)),
+    ]
+    for backend in ("list", "csr")
+] + [
+    pytest.param(
+        lambda backend: ShardedFrontierSampler(4, procs=1), "csr", id="DFS-csr"
+    )
+]
+
+
+@pytest.fixture(scope="module")
+def ba():
+    return barabasi_albert(200, 2, rng=11)
+
+
+def _as_list_trace(trace):
+    """The list-backend trace recording the same steps as ``trace``."""
+    fields = dict(
+        method=trace.method,
+        edges=list(trace.edges),
+        initial_vertices=list(trace.initial_vertices),
+        budget=trace.budget,
+        seed_cost=trace.seed_cost,
+    )
+    if hasattr(trace, "visited"):
+        listed = MetropolisTrace(**fields)
+        listed.visited = list(trace.visited)
+        return listed
+    return WalkTrace(
+        **fields,
+        per_walker=trace.per_walker,
+        walker_indices=trace.walker_indices,
+    )
 
 
 class TestDiscardBurnIn:
@@ -53,6 +98,69 @@ class TestDiscardBurnIn:
         trace = SingleRandomWalk().sample(house, 20, rng=6)
         burned = discard_burn_in(trace, 100)
         assert burned.edges == []
+
+
+class TestBothBackends:
+    @pytest.mark.parametrize("factory, backend", WALKS)
+    @pytest.mark.parametrize("burn_in", [1, 10, 40, 10_000])
+    def test_well_formed(self, ba, factory, backend, burn_in):
+        trace = factory(backend).sample(ba, 200, rng=3)
+        burned = discard_burn_in(trace, burn_in)
+        assert type(burned) is type(trace)
+        assert burned.num_steps == len(burned.edges) <= trace.num_steps
+        assert burned.budget == trace.budget
+        assert burned.initial_vertices == trace.initial_vertices
+        if trace.per_walker is not None:
+            per_walker_burn = max(1, burn_in // len(trace.per_walker))
+            assert burned.per_walker == [
+                edges[per_walker_burn:] for edges in trace.per_walker
+            ]
+            assert burned.edges == [
+                edge for edges in burned.per_walker for edge in edges
+            ]
+        if hasattr(trace, "visited"):
+            assert burned.visited == trace.visited[burn_in:]
+            assert set(burned.edges) <= set(trace.edges)
+            assert burned.spent() == trace.spent() - min(
+                burn_in, len(trace.visited)
+            )
+        else:
+            assert burned.spent() == (
+                trace.spent() - trace.num_steps + burned.num_steps
+            )
+
+    @pytest.mark.parametrize("factory, backend", WALKS)
+    def test_csr_matches_the_list_path_on_the_same_edges(
+        self, ba, factory, backend
+    ):
+        trace = factory(backend).sample(ba, 200, rng=4)
+        for burn_in in (1, 7, 40, 150):
+            burned = discard_burn_in(trace, burn_in)
+            reference = discard_burn_in(_as_list_trace(trace), burn_in)
+            assert burned.edges == reference.edges
+            assert burned.per_walker == reference.per_walker
+            assert burned.spent() == reference.spent()
+            assert getattr(burned, "visited", None) == getattr(
+                reference, "visited", None
+            )
+
+    @pytest.mark.parametrize("backend", ["list", "csr"])
+    def test_metropolis_keeps_its_visits(self, backend):
+        graph = barabasi_albert(200, 2, rng=1)
+        trace = MetropolisHastingsWalk(backend=backend).sample(
+            graph, 200, rng=3
+        )
+        assert len(trace.visited) == 199 and trace.spent() == 200
+        burned = discard_burn_in(trace, 10)
+        assert len(burned.visited) == 189
+        assert burned.spent() == 190
+        # The kept edges are exactly the transitions accepted after
+        # proposal 10: the position changes along the kept visits.
+        positions = [trace.visited[9]] + burned.visited
+        moves = [
+            (u, v) for u, v in zip(positions, positions[1:]) if u != v
+        ]
+        assert burned.edges == moves
 
 
 class TestEffectiveSampleCount:

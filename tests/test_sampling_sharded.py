@@ -447,18 +447,6 @@ class TestSessionPool:
             with pytest.raises(ValueError):
                 pool.run(SingleRandomWalk(), 100, runs=0)
 
-    def test_replicate_traces_procs_invariant(self, graph):
-        from repro.experiments.runner import replicate_traces
-
-        sampler = SingleRandomWalk()
-        serial = replicate_traces(sampler, graph, 100, runs=3, root_seed=4)
-        fanned = replicate_traces(
-            sampler, graph, 100, runs=3, root_seed=4,
-            procs=SPAWN_PROCS, executor=EXECUTOR,
-        )
-        for a, b in zip(serial, fanned):
-            assert a.edges == b.edges
-
 
 _HYPOTHESIS_GRAPH = None
 

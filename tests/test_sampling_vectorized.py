@@ -25,11 +25,7 @@ from repro.graph.csr import get_csr
 from repro.graph.graph import Graph
 from repro.sampling import _native
 from repro.sampling import vectorized as vec
-from repro.sampling.base import (
-    get_default_backend,
-    set_default_backend,
-    use_backend,
-)
+from repro.sampling.base import resolve_backend
 from repro.sampling.frontier import FrontierSampler
 from repro.sampling.metropolis import MetropolisHastingsWalk
 from repro.sampling.multiple import MultipleRandomWalk
@@ -319,19 +315,20 @@ class TestSamplerBackendSwitch:
         trace = SingleRandomWalk().sample(get_csr(graph), 100, rng=0)
         assert isinstance(trace, vec.ArrayWalkTrace)
 
-    def test_default_backend_switch(self, graph):
-        assert get_default_backend() == "list"
-        with use_backend("csr"):
-            assert get_default_backend() == "csr"
-            trace = SingleRandomWalk().sample(graph, 100, rng=0)
-            assert isinstance(trace, vec.ArrayWalkTrace)
-        assert get_default_backend() == "list"
+    def test_backend_is_the_samplers_else_the_graphs(self, graph):
+        """No process state: an explicit backend wins, else the graph's
+        type decides."""
+        csr = get_csr(graph)
+        assert resolve_backend(None, graph) == "list"
+        assert resolve_backend(None, csr) == "csr"
+        assert resolve_backend("csr", graph) == "csr"
+        assert resolve_backend("list", graph) == "list"
+        with pytest.raises(ValueError, match="backend"):
+            resolve_backend("gpu", csr)
         trace = SingleRandomWalk().sample(graph, 100, rng=0)
         assert not isinstance(trace, vec.ArrayWalkTrace)
-
-    def test_set_default_backend_validates(self):
-        with pytest.raises(ValueError, match="backend"):
-            set_default_backend("gpu")
+        trace = SingleRandomWalk(backend="csr").sample(graph, 100, rng=0)
+        assert isinstance(trace, vec.ArrayWalkTrace)
 
     def test_invalid_backend_at_construction(self):
         with pytest.raises(ValueError, match="backend"):

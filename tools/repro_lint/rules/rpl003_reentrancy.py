@@ -11,9 +11,9 @@ it permanent: a function marked ``@thread_core`` must not
   non-reentrant in one module immediately protects every thread core
   that calls it from anywhere.
 
-Matching is by terminal name (``_worker_init``, ``base.set_default_backend``
-and ``set_default_backend`` all hit a registered ``set_default_backend``),
-which errs on the safe side for the handful of audited names involved.
+Matching is by terminal name (``_worker_init`` and
+``sharded._worker_init`` both hit a registered ``_worker_init``), which
+errs on the safe side for the handful of audited names involved.
 """
 
 from __future__ import annotations
