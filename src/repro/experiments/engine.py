@@ -11,7 +11,9 @@ and snapshot hooks — and :func:`run_plan` executes it:
   through the ascending budget (or step) checkpoints, so a sweep over
   ``k`` budget points walks ``budget_k`` steps total instead of
   ``sum_i budget_i`` (the pre-engine drivers re-sampled the full
-  budget at every point);
+  budget at every point).  A method's replicates advance in
+  contiguous batches of at most 8, one kernel call per batch and
+  checkpoint for the csr sessions;
 - **streaming estimation**: every checkpoint is one
   ``SamplerSession.advance_into`` call, whose item — a
   :class:`~repro.sampling.fused.FusedBlock` of eq. (7)/(9) counts
@@ -85,7 +87,11 @@ from repro.sampling.base import (
     check_backend,
 )
 from repro.sampling.fused import FusedBlock, merge_needs
-from repro.sampling.session import default_session_starter, record_checkpoints
+from repro.sampling.session import (
+    _REPLICATE_BATCH,
+    default_session_starter,
+    record_checkpoints,
+)
 from repro.sampling.frontier import FrontierSampler
 from repro.sampling.metropolis import MetropolisHastingsWalk, MetropolisTrace
 from repro.sampling.multiple import MultipleRandomWalk
@@ -485,6 +491,13 @@ def run_plan(
     bit-identical for every ``procs`` value and executor at a fixed
     seed.  Accumulation and snapshots always run in the parent
     process, in replicate order.
+
+    Inline, each method's replicates run in contiguous batches of at
+    most 8 through :func:`~repro.sampling.session.record_checkpoints`:
+    the batch's sessions are opened first (a starter derives each
+    replicate's stream from its index alone, so this changes no draw),
+    then walk together, one kernel call per checkpoint.  Rows are
+    produced lazily, one batch's items at a time.
     """
     graph = plan.resolve_graph()
     methods = plan.methods()
@@ -551,17 +564,26 @@ def run_plan(
                     needs=needs,
                 )
             else:
-                # The pool workers' loop, run inline: rows are produced
-                # lazily, so one replicate's items are held at a time.
+                # The pool workers' loop, run inline over contiguous
+                # batches of replicates that walk together: rows are
+                # produced lazily, so one batch's items are held at a
+                # time.
                 substrate = get_csr(graph) if on_csr else graph
                 rows = (
-                    record_checkpoints(
-                        starter(sampler, substrate, seed, index),
+                    row
+                    for first in range(0, replicates, _REPLICATE_BATCH)
+                    for row in record_checkpoints(
+                        [
+                            starter(sampler, substrate, seed, index)
+                            for index in range(
+                                first,
+                                min(first + _REPLICATE_BATCH, replicates),
+                            )
+                        ],
                         plan.schedule,
                         checkpoints,
                         needs,
                     )
-                    for index in range(replicates)
                 )
             for items, steps in rows:
                 accumulator = plan.accumulator_for(method)

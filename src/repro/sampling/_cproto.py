@@ -14,9 +14,10 @@ is enforced twice from this one parser:
 
 Stdlib only (``re``); the grammar is deliberately tiny — flat C
 prototypes over ``int64_t``/``double`` scalars and pointers, which is
-all the kernels use.  Types normalize to canonical tokens so both
-checkers compare strings: ``"i64"``, ``"f64"``, ``"i64*"``, ``"f64*"``
-and ``"void"`` (return only).
+all the kernels use, plus ``int64_t **`` for a batch's per-replicate
+count arrays.  Types normalize to canonical tokens so both checkers
+compare strings: ``"i64"``, ``"f64"``, ``"i64*"``, ``"f64*"``,
+``"i64**"`` and ``"void"`` (return only).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ _C_TOKENS = {
     "double": "f64",
     "int64_t*": "i64*",
     "double*": "f64*",
+    "int64_t**": "i64**",
 }
 
 

@@ -19,6 +19,29 @@
  * graph.  Keep them stateless — no static/global storage, no
  * allocation, writes only to the caller-owned output buffers (and,
  * for FS, the caller's private frontier and Fenwick scratch arrays).
+ * Per-lane locals live on the stack; all other scratch is the
+ * caller's.
+ *
+ * Batches.  Every walk kernel advances a batch of R replicates of one
+ * method in one call, each replicate with W walkers (SRW and MH 1,
+ * MultipleRW its walker count, FS its frontier's m) and S steps (MH:
+ * proposals).  Every array is replicate-major:
+ *
+ *   walkers[r * W + w]          replicate r's walker w, in place
+ *   uniforms[r * D + j]         replicate r's row: the D draws of its
+ *                               own generator for this call, in the
+ *                               order one replicate alone would read
+ *   out_*[r * S + k], edge_keys[r * S + k]
+ *                               replicate r's k-th step record
+ *   deg_counts[r], visit_counts[r]
+ *                               replicate r's count arrays: an array
+ *                               of R pointers, any of them NULL
+ *
+ * A chain is a run of steps that depend only on each other: each
+ * walker of SRW, MultipleRW and MH, and a whole FS frontier.  Chains
+ * never read each other's state, so a kernel steps up to LANES of them
+ * in lockstep and their cache misses overlap; each chain's steps,
+ * counts and final state equal those of the chain walked alone.
  *
  * Outputs.  Each kernel advances the walker state and hands every
  * stat-bearing step (the step's target vertex; for MH, accepted
@@ -31,9 +54,10 @@
  *                               the walker that moved) and
  *                               out_visited[k] (MH: the position
  *                               after every proposal)
- *   deg_counts[deg(target)]++   exact int64 per-degree visit counts,
+ *   deg_counts[r][deg(target)]++
+ *                               exact int64 per-degree visit counts,
  *                               length max_degree + 1
- *   visit_counts[target]++      exact int64 per-vertex visit counts,
+ *   visit_counts[r][target]++   exact int64 per-vertex visit counts,
  *                               length num_vertices
  *   edge_keys[k] = u * key_base + v
  *                               append-order edge keys; key_base is
@@ -52,14 +76,18 @@
  * Zero-degree guard.  A step from a vertex with no neighbours would
  * index before its row.  Validated graphs never reach one, but an
  * unvalidated CSR can, so the SRW and MH kernels check the degree
- * before each step and return a negative status instead of stepping.
- * FS under degree selection never picks a zero-degree walker, and fails
- * once the frontier's total degree is zero; under uniform selection it
- * checks the picked walker's degree and fails if it is zero.
+ * before each step and stop a chain instead of stepping it.  FS under
+ * degree selection never picks a zero-degree walker, and stops once the
+ * frontier's total degree is zero; under uniform selection it checks
+ * the picked walker's degree and stops if it is zero.  The other chains
+ * run on.  A kernel returns 0, or -1 - c for the lowest-indexed chain c
+ * that stopped (replicate first, then walker: c = r * W + w), which is
+ * the chain a one-after-another walk of the batch stops at first.  Its
+ * walker slot then holds the zero-degree vertex; an FS frontier whose
+ * total degree reached zero reports its walker 0.
  *
- * A failing kernel has already folded the steps before the stuck one
- * into the caller's counts and walker state, so the caller must discard
- * them.
+ * A failing kernel has already folded other steps into the caller's
+ * counts and walker state, so the caller must discard them.
  *
  * Generator kernels.  repro_ba_attach and repro_gnm_edges run the draw
  * loops of repro/generators/ba.py and er.py on the caller's own
@@ -82,52 +110,95 @@
 
 #include <stdint.h>
 
+/* Chains stepped in lockstep by one kernel loop. */
+#define LANES 8
+
 static inline int64_t scale_uniform(double u, int64_t range) {
     int64_t value = (int64_t)(u * (double)range);
     return value >= range ? range - 1 : value;
 }
 
+/* The lanes [first, first + lanes) of a group of chains. */
+static inline int64_t group_size(int64_t first, int64_t chains) {
+    return chains - first < LANES ? chains - first : LANES;
+}
+
+/* Record that `chain` stopped: the lowest stopped chain wins. */
+static inline int64_t lowest(int64_t stopped, int64_t chain) {
+    return stopped < 0 || chain < stopped ? chain : stopped;
+}
+
 /* Simple random walks: `steps` transitions for each of the
- * `num_walkers` walkers in `walkers`, walker by walker, in place.
- * Walker w consumes uniforms[w * steps, (w + 1) * steps), one per
- * step, and its k-th step is step w * steps + k of every output.
- * Returns 0, or -1 - w when walker w stands on a zero-degree vertex
- * when it must step; its slot then holds that vertex and the walkers
- * after it are left untouched. */
+ * `num_chains` walkers in `walkers` (a batch of replicates with
+ * `chain_width` walkers each), in place.  Chain c reads uniforms
+ * [c * steps, (c + 1) * steps), one per step, and its k-th step is
+ * step c * steps + k of every output; its counts go to replicate
+ * c / chain_width.  Each step runs in two passes over the lanes: pick
+ * the crossed edge and prefetch the target's row, then read that row
+ * and fold the step. */
 int64_t repro_rw_steps_acc(const int64_t *indptr, const int64_t *indices,
-                           int64_t *walkers, int64_t num_walkers,
-                           int64_t steps, const double *uniforms,
-                           int64_t key_base, int64_t *deg_counts,
-                           int64_t *visit_counts, int64_t *edge_keys,
-                           int64_t *out_u, int64_t *out_v) {
-    for (int64_t w = 0; w < num_walkers; w++) {
-        int64_t current = walkers[w];
-        for (int64_t k = w * steps; k < (w + 1) * steps; k++) {
-            int64_t row = indptr[current];
-            int64_t degree = indptr[current + 1] - row;
-            if (degree <= 0) {
-                walkers[w] = current;
-                return -1 - w;
-            }
-            int64_t next = indices[row + scale_uniform(uniforms[k], degree)];
-            if (deg_counts)
-                deg_counts[indptr[next + 1] - indptr[next]]++;
-            if (visit_counts)
-                visit_counts[next]++;
-            if (edge_keys)
-                edge_keys[k] = current * key_base + next;
-            if (out_u)
-                out_u[k] = current;
-            if (out_v)
-                out_v[k] = next;
-            current = next;
+                           int64_t *walkers, int64_t num_chains,
+                           int64_t chain_width, int64_t steps,
+                           const double *uniforms, int64_t key_base,
+                           int64_t **deg_counts, int64_t **visit_counts,
+                           int64_t *edge_keys, int64_t *out_u,
+                           int64_t *out_v) {
+    for (int64_t first = 0; first < num_chains; first += LANES) {
+        int64_t lanes = group_size(first, num_chains), stopped = -1;
+        int64_t current[LANES], row[LANES], degree[LANES], next[LANES];
+        int64_t *degs[LANES], *visits[LANES];
+        unsigned live = 0;
+        for (int64_t l = 0; l < lanes; l++) {
+            int64_t r = (first + l) / chain_width;
+            current[l] = walkers[first + l];
+            row[l] = indptr[current[l]];
+            degree[l] = indptr[current[l] + 1] - row[l];
+            degs[l] = deg_counts ? deg_counts[r] : 0;
+            visits[l] = visit_counts ? visit_counts[r] : 0;
+            live |= 1u << l;
         }
-        walkers[w] = current;
+        for (int64_t k = 0; k < steps && live; k++) {
+            for (int64_t l = 0; l < lanes; l++) {
+                if (!(live >> l & 1))
+                    continue;
+                if (degree[l] <= 0) {
+                    live &= ~(1u << l);
+                    stopped = lowest(stopped, first + l);
+                    continue;
+                }
+                double u = uniforms[(first + l) * steps + k];
+                next[l] = indices[row[l] + scale_uniform(u, degree[l])];
+                __builtin_prefetch(&indptr[next[l]]);
+            }
+            for (int64_t l = 0; l < lanes; l++) {
+                if (!(live >> l & 1))
+                    continue;
+                int64_t slot = (first + l) * steps + k, v = next[l];
+                row[l] = indptr[v];
+                degree[l] = indptr[v + 1] - row[l];
+                if (degs[l])
+                    degs[l][degree[l]]++;
+                if (visits[l])
+                    visits[l][v]++;
+                if (edge_keys)
+                    edge_keys[slot] = current[l] * key_base + v;
+                if (out_u)
+                    out_u[slot] = current[l];
+                if (out_v)
+                    out_v[slot] = v;
+                current[l] = v;
+            }
+        }
+        for (int64_t l = 0; l < lanes; l++)
+            walkers[first + l] = current[l];
+        if (stopped >= 0)
+            return -1 - stopped;
     }
     return 0;
 }
 
-/* m-dimensional Frontier Sampling; updates `frontier` in place.
+/* m-dimensional Frontier Sampling over a batch of `replicates`
+ * frontiers of m walkers each; updates `frontier` in place.
  *
  * degree_selection != 0 (Algorithm 1): each step consumes ONE uniform
  * u, scaled onto the frontier's total degree; the walker bucket that
@@ -137,139 +208,219 @@ int64_t repro_rw_steps_acc(const int64_t *indptr, const int64_t *indices,
  * walker pick followed by a uniform neighbor pick.)  The bucket is
  * found by an O(log m) descent of a binary indexed tree over the
  * frontier degree vector, kept in the caller-owned `fenwick` scratch
- * (length m + 1, required in this mode).  Degrees are exact int64, so
- * the descent selects the same (walker, offset) pair as the linear
- * cumulative-degree scan the pure-Python mirror runs.
+ * (m + 1 entries per replicate, required in this mode).  Degrees are
+ * exact int64, so the descent selects the same (walker, offset) pair
+ * as the linear cumulative-degree scan the pure-Python mirror runs.
  *
  * degree_selection == 0 (uniform-walker ablation): two uniforms per
  * step — walker index, then neighbor offset; `fenwick` may be NULL.
  *
- * Returns 0; -1 if the frontier's total degree is ever <= 0 (degree
- * selection); or -2 - idx when uniform selection picks walker idx on a
- * zero-degree vertex (frontier[idx] then holds that vertex). */
+ * Each frontier is one chain.  A lockstep step runs three passes over
+ * the lanes: pick the walker and prefetch the crossed edge; read the
+ * target and prefetch its row; fold the counts and update the Fenwick
+ * tree.  Replicate r stops when its total degree is <= 0 (degree
+ * selection; reported as chain r * m) or when uniform selection picks
+ * its walker idx on a zero-degree vertex (chain r * m + idx). */
 int64_t repro_fs_steps_acc(const int64_t *indptr, const int64_t *indices,
-                           int64_t *frontier, int64_t m, int64_t steps,
-                           int64_t degree_selection, const double *uniforms,
-                           int64_t key_base, int64_t *deg_counts,
-                           int64_t *visit_counts, int64_t *edge_keys,
-                           int64_t *fenwick, int64_t *out_u, int64_t *out_v,
+                           int64_t *frontier, int64_t replicates, int64_t m,
+                           int64_t steps, int64_t degree_selection,
+                           const double *uniforms, int64_t key_base,
+                           int64_t **deg_counts, int64_t **visit_counts,
+                           int64_t *edge_keys, int64_t *fenwick,
+                           int64_t *out_u, int64_t *out_v,
                            int64_t *out_idx) {
-    int64_t total = 0;
-    for (int64_t i = 0; i < m; i++)
-        total += indptr[frontier[i] + 1] - indptr[frontier[i]];
-    int64_t top_bit = 0;
-    if (degree_selection) {
-        for (int64_t i = 0; i <= m; i++)
-            fenwick[i] = 0;
-        for (int64_t i = 0; i < m; i++) {
-            int64_t degree = indptr[frontier[i] + 1] - indptr[frontier[i]];
-            for (int64_t j = i + 1; j <= m; j += j & (-j))
-                fenwick[j] += degree;
-        }
-        top_bit = 1;
-        while (top_bit * 2 <= m)
-            top_bit *= 2;
-    }
-    for (int64_t k = 0; k < steps; k++) {
-        int64_t idx, offset;
-        if (degree_selection) {
-            if (total <= 0)
-                return -1;
-            /* Largest pos with prefix_degree(pos) <= target: the walker
-             * bucket [prefix(idx), prefix(idx + 1)) holding `target`
-             * (zero-degree buckets are empty, so they are never
-             * picked).  target < total keeps pos < m. */
-            int64_t pos = 0, rem = scale_uniform(uniforms[k], total);
-            for (int64_t bit = top_bit; bit; bit >>= 1) {
-                int64_t nxt = pos + bit;
-                if (nxt <= m && fenwick[nxt] <= rem) {
-                    pos = nxt;
-                    rem -= fenwick[nxt];
-                }
+    int64_t draws = degree_selection ? 1 : 2, top_bit = 1;
+    while (top_bit * 2 <= m)
+        top_bit *= 2;
+    for (int64_t first = 0; first < replicates; first += LANES) {
+        int64_t lanes = group_size(first, replicates), stopped = -1;
+        int64_t total[LANES], idx[LANES], edge[LANES], current[LANES];
+        int64_t old_degree[LANES], next[LANES];
+        int64_t *walkers[LANES], *tree[LANES], *degs[LANES], *visits[LANES];
+        unsigned live = 0;
+        for (int64_t l = 0; l < lanes; l++) {
+            int64_t r = first + l;
+            walkers[l] = frontier + r * m;
+            tree[l] = degree_selection ? fenwick + r * (m + 1) : 0;
+            degs[l] = deg_counts ? deg_counts[r] : 0;
+            visits[l] = visit_counts ? visit_counts[r] : 0;
+            total[l] = 0;
+            for (int64_t i = 0; i <= m && tree[l]; i++)
+                tree[l][i] = 0;
+            for (int64_t i = 0; i < m; i++) {
+                int64_t v = walkers[l][i], degree = indptr[v + 1] - indptr[v];
+                total[l] += degree;
+                for (int64_t j = i + 1; j <= m && tree[l]; j += j & (-j))
+                    tree[l][j] += degree;
             }
-            idx = pos;
-            offset = rem;
-        } else {
-            idx = scale_uniform(uniforms[2 * k], m);
-            int64_t vertex = frontier[idx];
-            int64_t degree = indptr[vertex + 1] - indptr[vertex];
-            if (degree <= 0)
-                return -2 - idx;
-            offset = scale_uniform(uniforms[2 * k + 1], degree);
+            live |= 1u << l;
         }
-        int64_t current = frontier[idx];
-        int64_t old_degree = indptr[current + 1] - indptr[current];
-        int64_t next = indices[indptr[current] + offset];
-        int64_t new_degree = indptr[next + 1] - indptr[next];
-        if (deg_counts)
-            deg_counts[new_degree]++;
-        if (visit_counts)
-            visit_counts[next]++;
-        if (edge_keys)
-            edge_keys[k] = current * key_base + next;
-        if (out_u)
-            out_u[k] = current;
-        if (out_v)
-            out_v[k] = next;
-        if (out_idx)
-            out_idx[k] = idx;
-        frontier[idx] = next;
-        total += new_degree - old_degree;
-        if (degree_selection && new_degree != old_degree)
-            for (int64_t j = idx + 1; j <= m; j += j & (-j))
-                fenwick[j] += new_degree - old_degree;
+        for (int64_t k = 0; k < steps && live; k++) {
+            for (int64_t l = 0; l < lanes; l++) {
+                if (!(live >> l & 1))
+                    continue;
+                const double *u = uniforms + (first + l) * draws * steps
+                                  + draws * k;
+                int64_t pick, offset, vertex, base, degree;
+                if (degree_selection) {
+                    if (total[l] <= 0) {
+                        live &= ~(1u << l);
+                        stopped = lowest(stopped, (first + l) * m);
+                        continue;
+                    }
+                    /* Largest pos with prefix_degree(pos) <= target: the
+                     * walker bucket [prefix(idx), prefix(idx + 1))
+                     * holding `target` (zero-degree buckets are empty,
+                     * so they are never picked).  target < total keeps
+                     * pos < m.  tree[0] is always 0, so an out-of-range
+                     * probe reads it and is never taken. */
+                    int64_t pos = 0, rem = scale_uniform(u[0], total[l]);
+                    for (int64_t bit = top_bit; bit; bit >>= 1) {
+                        int64_t probe = pos + bit, inside = probe <= m;
+                        int64_t weight = tree[l][inside ? probe : 0];
+                        int64_t take = -(inside & (weight <= rem));
+                        pos += bit & take;
+                        rem -= weight & take;
+                    }
+                    pick = pos;
+                    offset = rem;
+                    vertex = walkers[l][pick];
+                    base = indptr[vertex];
+                    degree = indptr[vertex + 1] - base;
+                } else {
+                    pick = scale_uniform(u[0], m);
+                    vertex = walkers[l][pick];
+                    base = indptr[vertex];
+                    degree = indptr[vertex + 1] - base;
+                    if (degree <= 0) {
+                        live &= ~(1u << l);
+                        stopped = lowest(stopped, (first + l) * m + pick);
+                        continue;
+                    }
+                    offset = scale_uniform(u[1], degree);
+                }
+                idx[l] = pick;
+                current[l] = vertex;
+                old_degree[l] = degree;
+                edge[l] = base + offset;
+                __builtin_prefetch(&indices[edge[l]]);
+            }
+            for (int64_t l = 0; l < lanes; l++) {
+                if (!(live >> l & 1))
+                    continue;
+                next[l] = indices[edge[l]];
+                __builtin_prefetch(&indptr[next[l]]);
+            }
+            for (int64_t l = 0; l < lanes; l++) {
+                if (!(live >> l & 1))
+                    continue;
+                int64_t slot = (first + l) * steps + k, v = next[l];
+                int64_t new_degree = indptr[v + 1] - indptr[v];
+                if (degs[l])
+                    degs[l][new_degree]++;
+                if (visits[l])
+                    visits[l][v]++;
+                if (edge_keys)
+                    edge_keys[slot] = current[l] * key_base + v;
+                if (out_u)
+                    out_u[slot] = current[l];
+                if (out_v)
+                    out_v[slot] = v;
+                if (out_idx)
+                    out_idx[slot] = idx[l];
+                walkers[l][idx[l]] = v;
+                total[l] += new_degree - old_degree[l];
+                if (tree[l] && new_degree != old_degree[l])
+                    for (int64_t j = idx[l] + 1; j <= m; j += j & (-j))
+                        tree[l][j] += new_degree - old_degree[l];
+            }
+        }
+        if (stopped >= 0)
+            return -1 - stopped;
     }
     return 0;
 }
 
-/* Metropolis-Hastings walk targeting the uniform vertex law.
- * Draws: two uniforms per step (proposal offset, accept test).
+/* Metropolis-Hastings walks targeting the uniform vertex law, one
+ * walker per chain; updates `walkers` in place.
+ * Draws: two uniforms per step (proposal offset, accept test); chain c
+ * reads uniforms[2 * c * steps + 2 * k] and the one after it.
  * Accept iff u2 * deg(proposal) < deg(current), i.e. with probability
  * min(1, deg(current) / deg(proposal)).  Only ACCEPTED proposals are
  * stat-bearing (the streaming estimators consume accepted transitions
- * only): out_eu/out_ev and edge_keys are filled densely over
- * [0, accepted), while out_visited gets one entry per proposal.
- * Writes the final walker position to out_state[0] and returns the
- * accepted count, or -1 when the walker stands on a zero-degree vertex
- * when it must step (out_state[0] then holds that vertex). */
+ * only): chain c fills out_eu/out_ev and edge_keys densely over
+ * [c * steps, c * steps + accepted[c]), while out_visited gets one entry
+ * per proposal.  Each step runs in two passes over the lanes: read the
+ * proposal and prefetch its row, then run the accept test. */
 int64_t repro_mh_steps_acc(const int64_t *indptr, const int64_t *indices,
-                           int64_t start, int64_t steps,
-                           const double *uniforms, int64_t key_base,
-                           int64_t *deg_counts, int64_t *visit_counts,
-                           int64_t *edge_keys, int64_t *out_state,
-                           int64_t *out_eu, int64_t *out_ev,
-                           int64_t *out_visited) {
-    int64_t current = start;
-    int64_t accepted = 0;
-    for (int64_t k = 0; k < steps; k++) {
-        int64_t row = indptr[current];
-        int64_t deg_u = indptr[current + 1] - row;
-        if (deg_u <= 0) {
-            out_state[0] = current;
-            return -1;
+                           int64_t *walkers, int64_t num_chains,
+                           int64_t steps, const double *uniforms,
+                           int64_t key_base, int64_t **deg_counts,
+                           int64_t **visit_counts, int64_t *edge_keys,
+                           int64_t *accepted, int64_t *out_eu,
+                           int64_t *out_ev, int64_t *out_visited) {
+    for (int64_t first = 0; first < num_chains; first += LANES) {
+        int64_t lanes = group_size(first, num_chains), stopped = -1;
+        int64_t current[LANES], row[LANES], degree[LANES], proposal[LANES];
+        int64_t taken[LANES];
+        int64_t *degs[LANES], *visits[LANES];
+        unsigned live = 0;
+        for (int64_t l = 0; l < lanes; l++) {
+            current[l] = walkers[first + l];
+            row[l] = indptr[current[l]];
+            degree[l] = indptr[current[l] + 1] - row[l];
+            taken[l] = 0;
+            degs[l] = deg_counts ? deg_counts[first + l] : 0;
+            visits[l] = visit_counts ? visit_counts[first + l] : 0;
+            live |= 1u << l;
         }
-        int64_t proposal =
-            indices[row + scale_uniform(uniforms[2 * k], deg_u)];
-        int64_t deg_v = indptr[proposal + 1] - indptr[proposal];
-        if (uniforms[2 * k + 1] * (double)deg_v < (double)deg_u) {
-            if (deg_counts)
-                deg_counts[deg_v]++;
-            if (visit_counts)
-                visit_counts[proposal]++;
-            if (edge_keys)
-                edge_keys[accepted] = current * key_base + proposal;
-            if (out_eu)
-                out_eu[accepted] = current;
-            if (out_ev)
-                out_ev[accepted] = proposal;
-            accepted++;
-            current = proposal;
+        for (int64_t k = 0; k < steps && live; k++) {
+            for (int64_t l = 0; l < lanes; l++) {
+                if (!(live >> l & 1))
+                    continue;
+                if (degree[l] <= 0) {
+                    live &= ~(1u << l);
+                    stopped = lowest(stopped, first + l);
+                    continue;
+                }
+                double u = uniforms[2 * ((first + l) * steps + k)];
+                proposal[l] = indices[row[l] + scale_uniform(u, degree[l])];
+                __builtin_prefetch(&indptr[proposal[l]]);
+            }
+            for (int64_t l = 0; l < lanes; l++) {
+                if (!(live >> l & 1))
+                    continue;
+                int64_t base = (first + l) * steps, v = proposal[l];
+                int64_t v_row = indptr[v], v_degree = indptr[v + 1] - v_row;
+                double u = uniforms[2 * (base + k) + 1];
+                if (u * (double)v_degree < (double)degree[l]) {
+                    int64_t slot = base + taken[l]++;
+                    if (degs[l])
+                        degs[l][v_degree]++;
+                    if (visits[l])
+                        visits[l][v]++;
+                    if (edge_keys)
+                        edge_keys[slot] = current[l] * key_base + v;
+                    if (out_eu)
+                        out_eu[slot] = current[l];
+                    if (out_ev)
+                        out_ev[slot] = v;
+                    current[l] = v;
+                    row[l] = v_row;
+                    degree[l] = v_degree;
+                }
+                if (out_visited)
+                    out_visited[base + k] = current[l];
+            }
         }
-        if (out_visited)
-            out_visited[k] = current;
+        for (int64_t l = 0; l < lanes; l++) {
+            walkers[first + l] = current[l];
+            accepted[first + l] = taken[l];
+        }
+        if (stopped >= 0)
+            return -1 - stopped;
     }
-    out_state[0] = current;
-    return accepted;
+    return 0;
 }
 
 /* Graph generators on the caller's Mersenne Twister words.

@@ -43,7 +43,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,7 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _DP = ctypes.POINTER(ctypes.c_double)
+_I64PP = ctypes.POINTER(_I64P)
 
 #: Canonical signature token (see ``_cproto``) -> ctypes object.
 _CTYPES: Dict[str, object] = {
@@ -63,6 +64,7 @@ _CTYPES: Dict[str, object] = {
     "f64": ctypes.c_double,
     "i64*": _I64P,
     "f64*": _DP,
+    "i64**": _I64PP,
 }
 
 #: The Python-side kernel declarations: ``name -> (restype, argtypes)``
@@ -74,22 +76,23 @@ _DECLARATIONS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "repro_rw_steps_acc": (
         "i64",
         (
-            "i64*", "i64*", "i64*", "i64", "i64", "f64*",
-            "i64", "i64*", "i64*", "i64*", "i64*", "i64*",
+            "i64*", "i64*", "i64*", "i64", "i64", "i64", "f64*",
+            "i64", "i64**", "i64**", "i64*", "i64*", "i64*",
         ),
     ),
     "repro_fs_steps_acc": (
         "i64",
         (
-            "i64*", "i64*", "i64*", "i64", "i64", "i64", "f64*",
-            "i64", "i64*", "i64*", "i64*", "i64*", "i64*", "i64*", "i64*",
+            "i64*", "i64*", "i64*", "i64", "i64", "i64", "i64", "f64*",
+            "i64", "i64**", "i64**", "i64*", "i64*", "i64*", "i64*",
+            "i64*",
         ),
     ),
     "repro_mh_steps_acc": (
         "i64",
         (
-            "i64*", "i64*", "i64", "i64", "f64*", "i64", "i64*",
-            "i64*", "i64*", "i64*", "i64*", "i64*", "i64*",
+            "i64*", "i64*", "i64*", "i64", "i64", "f64*", "i64", "i64**",
+            "i64**", "i64*", "i64*", "i64*", "i64*", "i64*",
         ),
     ),
     "repro_ba_attach": (
@@ -306,7 +309,7 @@ def _f64(array: np.ndarray) -> "ctypes.Array[ctypes.c_double]":
     return (ctypes.c_double * array.size).from_buffer(array)
 
 
-_OptPtr = Optional["ctypes.Array[ctypes.c_int64]"]
+_OptPtr = Optional["ctypes.Array[Any]"]
 
 
 def _i64_opt(array: Optional[np.ndarray]) -> _OptPtr:
@@ -314,17 +317,44 @@ def _i64_opt(array: Optional[np.ndarray]) -> _OptPtr:
     return None if array is None else _i64(array)
 
 
+def _count_pointers(arrays: Sequence[Optional[np.ndarray]]) -> _OptPtr:
+    """One count array per replicate as an ``i64**`` argument: NULL
+    slots where a block keeps no such count, NULL when none does."""
+    if all(array is None for array in arrays):
+        return None
+    pointers = (_I64P * len(arrays))()
+    for slot, array in enumerate(arrays):
+        if array is not None:
+            pointers[slot] = _i64(array)
+    return pointers
+
+
 def _block_args(
-    block: FusedBlock, keys: Optional[np.ndarray]
-) -> Tuple[int, _OptPtr, _OptPtr, _OptPtr]:
-    """A block's ``key_base, deg_counts, visit_counts, edge_keys``
-    kernel arguments; statistics it does not need are NULL."""
+    blocks: Sequence[FusedBlock], steps: int
+) -> Tuple[int, _OptPtr, _OptPtr, Optional[np.ndarray]]:
+    """The batch's ``key_base, deg_counts, visit_counts`` kernel
+    arguments and its edge-key buffer (``steps`` slots, replicate
+    ``r`` owning the r-th equal share), or ``None`` when the blocks,
+    which share their needs, keep no keys."""
     return (
-        block.key_base,
-        _i64_opt(block.deg_counts),
-        _i64_opt(block.visit_counts),
-        _i64_opt(keys),
+        blocks[0].key_base,
+        _count_pointers([block.deg_counts for block in blocks]),
+        _count_pointers([block.visit_counts for block in blocks]),
+        blocks[0].new_edge_buffer(steps),
     )
+
+
+def _commit(
+    blocks: Sequence[FusedBlock],
+    keys: Optional[np.ndarray],
+    filled: Sequence[int],
+) -> None:
+    """Hand replicate ``r``'s share of ``keys`` and its ``filled[r]``
+    stat-bearing steps to ``blocks[r]``."""
+    share = 0 if keys is None else keys.size // len(blocks)
+    for r, (block, count) in enumerate(zip(blocks, filled)):
+        row = None if keys is None else keys[r * share : (r + 1) * share]
+        block.commit(row, int(count))
 
 
 #: The same four arguments on the trace path: no block statistics.
@@ -332,6 +362,13 @@ _NO_BLOCK = (0, None, None, None)
 
 #: A walk's step record, as the trace path returns it.
 Record = Tuple[np.ndarray, ...]
+
+
+def _records(outputs: Tuple[np.ndarray, ...], replicates: int) -> List[Record]:
+    """Replicate ``r``'s rows of the batch's step-record buffers."""
+    return [
+        tuple(out[r] for out in outputs) for r in range(replicates)
+    ]
 
 
 def isolated(vertex: int) -> ValueError:
@@ -345,40 +382,42 @@ def rw_steps_acc(
     walkers: np.ndarray,
     uniforms: np.ndarray,
     steps: int,
-    block: Optional[FusedBlock] = None,
-) -> Optional[Record]:
-    """Native simple random walks; advances ``walkers`` in place.
+    blocks: Optional[Sequence[FusedBlock]] = None,
+) -> Optional[List[Record]]:
+    """Native simple random walks of a batch; advances ``walkers`` in
+    place.
 
-    ``steps`` is the call's total, ``len(walkers)`` equal shares taken
-    walker by walker: walker ``w`` reads ``uniforms[w*s:(w+1)*s]`` and
-    fills the same slice of every output.  Without a ``block`` the
-    kernel writes the step record ``(out_u, out_v)``; with one it folds
-    every step into the block instead and returns ``None``.
+    ``walkers`` is an ``(R, W)`` array, R replicates of W walkers, and
+    ``uniforms`` its ``(R, W * s)`` rows of draws.  ``steps`` is the
+    call's total, ``R * W`` equal shares ``s``: walker ``w`` of
+    replicate ``r`` reads ``uniforms[r, w*s:(w+1)*s]`` and fills the
+    same slice of the replicate's outputs.  Without ``blocks`` the
+    kernel writes each replicate's step record ``(out_u, out_v)``;
+    with one block per replicate it folds replicate ``r``'s steps into
+    ``blocks[r]`` instead and returns ``None``.
     """
     lib = _lib()
+    replicates, width = walkers.shape
     head = (
-        *_graph_pointers(graph), _i64(walkers), len(walkers),
-        steps // len(walkers), _f64(uniforms),
+        *_graph_pointers(graph), _i64(walkers), walkers.size, width,
+        steps // max(walkers.size, 1), _f64(uniforms),
     )
-    keys: Optional[np.ndarray] = None
-    record: Optional[Record] = None
-    if block is not None:
-        keys = block.new_edge_buffer(steps)
+    if blocks is None:
+        outputs = np.empty((2, replicates, steps // replicates), dtype=np.int64)
         status = lib.repro_rw_steps_acc(
-            *head, *_block_args(block, keys), None, None
+            *head, *_NO_BLOCK, _i64(outputs[0]), _i64(outputs[1])
         )
     else:
-        record = (
-            np.empty(steps, dtype=np.int64), np.empty(steps, dtype=np.int64)
-        )
+        *args, keys = _block_args(blocks, steps)
         status = lib.repro_rw_steps_acc(
-            *head, *_NO_BLOCK, *(_i64(out) for out in record)
+            *head, *args, _i64_opt(keys), None, None
         )
     if status < 0:
-        raise isolated(int(walkers[-1 - status]))
-    if block is not None:
-        block.commit(keys, steps)
-    return record
+        raise isolated(int(walkers.flat[-1 - status]))
+    if blocks is None:
+        return _records(tuple(outputs), replicates)
+    _commit(blocks, keys, [steps // replicates] * replicates)
+    return None
 
 
 def fs_steps_acc(
@@ -387,84 +426,95 @@ def fs_steps_acc(
     uniforms: np.ndarray,
     steps: int,
     degree_selection: bool,
-    block: Optional[FusedBlock] = None,
-) -> Optional[Record]:
-    """Native FS steps; walks ``frontier`` in place.
+    blocks: Optional[Sequence[FusedBlock]] = None,
+) -> Optional[List[Record]]:
+    """Native FS steps of a batch; walks ``frontier`` in place.
 
-    Without a ``block`` returns the step record ``(out_u, out_v,
-    out_idx)``; with one, folds every step into the block and returns
-    ``None``.  Degree selection hands the kernel an ``m + 1`` Fenwick
-    scratch, so each walker pick is O(log m).
+    ``frontier`` is an ``(R, m)`` array, one frontier per replicate,
+    and ``steps`` the call's total, ``R`` equal shares.  Without
+    ``blocks`` returns each replicate's step record ``(out_u, out_v,
+    out_idx)``; with one block per replicate, folds replicate ``r``'s
+    steps into ``blocks[r]`` and returns ``None``.  Degree selection
+    hands the kernel ``m + 1`` Fenwick scratch entries per replicate,
+    so each walker pick is O(log m).
     """
     lib = _lib()
-    m = len(frontier)
-    fenwick = np.empty(m + 1, dtype=np.int64) if degree_selection else None
-    head = (
-        *_graph_pointers(graph), _i64(frontier), m, steps,
-        1 if degree_selection else 0, _f64(uniforms),
+    replicates, m = frontier.shape
+    fenwick = (
+        np.empty((replicates, m + 1), dtype=np.int64)
+        if degree_selection
+        else None
     )
-    keys: Optional[np.ndarray] = None
-    record: Optional[Record] = None
-    if block is not None:
-        keys = block.new_edge_buffer(steps)
-        status = lib.repro_fs_steps_acc(
-            *head, *_block_args(block, keys), _i64_opt(fenwick),
-            None, None, None,
-        )
-    else:
-        record = tuple(np.empty(steps, dtype=np.int64) for _ in range(3))
+    head = (
+        *_graph_pointers(graph), _i64(frontier), replicates, m,
+        steps // replicates, 1 if degree_selection else 0, _f64(uniforms),
+    )
+    if blocks is None:
+        outputs = np.empty((3, replicates, steps // replicates), dtype=np.int64)
         status = lib.repro_fs_steps_acc(
             *head, *_NO_BLOCK, _i64_opt(fenwick),
-            *(_i64(out) for out in record),
+            *(_i64(out) for out in outputs),
         )
-    if status == -1:
+    else:
+        *args, keys = _block_args(blocks, steps)
+        status = lib.repro_fs_steps_acc(
+            *head, *args, _i64_opt(keys), _i64_opt(fenwick),
+            None, None, None,
+        )
+    if status < 0 and degree_selection:
         raise ValueError("frontier reached a state with zero total degree")
     if status < 0:
-        raise isolated(int(frontier[-2 - status]))
-    if block is not None:
-        block.commit(keys, steps)
-    return record
+        raise isolated(int(frontier.flat[-1 - status]))
+    if blocks is None:
+        return _records(tuple(outputs), replicates)
+    _commit(blocks, keys, [steps // replicates] * replicates)
+    return None
 
 
 def mh_steps_acc(
     graph: CSRGraph,
-    start: int,
+    walkers: np.ndarray,
     uniforms: np.ndarray,
     steps: int,
-    block: Optional[FusedBlock] = None,
-) -> Tuple[int, Optional[Record]]:
-    """Native MH walk; returns ``(final, record)``.
+    blocks: Optional[Sequence[FusedBlock]] = None,
+) -> Optional[List[Record]]:
+    """Native MH walks of a batch, one walker per replicate; advances
+    ``walkers`` (length R) in place.
 
-    Without a ``block`` the record is ``(edge_u, edge_v, visited)``:
-    the accepted edges and the position after every proposal.  With
-    one, each accepted proposal folds into the block instead
-    (``block.steps`` grows by the accepted count) and ``record`` is
-    ``None``.
+    ``steps`` is the call's total proposals, R equal shares.  Without
+    ``blocks`` each replicate's record is ``(edge_u, edge_v,
+    visited)``: its accepted edges and its position after every
+    proposal.  With one block per replicate, replicate ``r``'s accepted
+    proposals fold into ``blocks[r]`` instead (``block.steps`` grows by
+    the accepted count) and the result is ``None``.
     """
     lib = _lib()
-    out_state = np.empty(1, dtype=np.int64)
-    head = (*_graph_pointers(graph), start, steps, _f64(uniforms))
-    keys: Optional[np.ndarray] = None
-    if block is not None:
-        keys = block.new_edge_buffer(steps)
-        outputs: Record = ()
-        accepted = lib.repro_mh_steps_acc(
-            *head, *_block_args(block, keys), _i64(out_state),
-            None, None, None,
-        )
-    else:
-        outputs = tuple(np.empty(steps, dtype=np.int64) for _ in range(3))
-        accepted = lib.repro_mh_steps_acc(
-            *head, *_NO_BLOCK, _i64(out_state),
+    replicates = walkers.size
+    accepted = np.empty(replicates, dtype=np.int64)
+    head = (
+        *_graph_pointers(graph), _i64(walkers), replicates,
+        steps // replicates, _f64(uniforms),
+    )
+    if blocks is None:
+        outputs = np.empty((3, replicates, steps // replicates), dtype=np.int64)
+        status = lib.repro_mh_steps_acc(
+            *head, *_NO_BLOCK, _i64(accepted),
             *(_i64(out) for out in outputs),
         )
-    if accepted < 0:
-        raise isolated(int(out_state[0]))
-    if block is not None:
-        block.commit(keys, accepted)
-        return int(out_state[0]), None
-    edge_u, edge_v, visited = outputs
-    return int(out_state[0]), (edge_u[:accepted], edge_v[:accepted], visited)
+    else:
+        *args, keys = _block_args(blocks, steps)
+        status = lib.repro_mh_steps_acc(
+            *head, *args, _i64_opt(keys), _i64(accepted), None, None, None,
+        )
+    if status < 0:
+        raise isolated(int(walkers[-1 - status]))
+    if blocks is not None:
+        _commit(blocks, keys, accepted.tolist())
+        return None
+    return [
+        (edge_u[:count], edge_v[:count], visited)
+        for edge_u, edge_v, visited, count in zip(*outputs, accepted.tolist())
+    ]
 
 
 def ba_attach(

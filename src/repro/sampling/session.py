@@ -42,7 +42,10 @@ the pre-session goldens bit for bit.
 The csr backend advances in array-sized strides: each ``advance`` is
 one call into the runners of :mod:`repro.sampling.vectorized` (the C
 kernels, or their pure-Python reference under ``REPRO_NO_NATIVE``),
-never a Python per-step loop.
+never a Python per-step loop.  :func:`record_checkpoints` advances a
+batch of csr sessions of one type on one CSR in one such call, each
+drawing from its own generator, so each walk is the one it takes
+alone.
 """
 
 from __future__ import annotations
@@ -406,6 +409,12 @@ def default_session_starter(
     return sampler.start(graph, rng=child_rng(root_seed, index))
 
 
+#: Replicates of one method that :func:`record_checkpoints` walks
+#: together: the experiment engine and the session pool hand it
+#: contiguous batches of at most this many.
+_REPLICATE_BATCH = 8
+
+
 class _CheckpointRecorder:
     """Stands in for a replicate's accumulators and keeps what each
     :meth:`SamplerSession.advance_into` call hands them.
@@ -431,20 +440,28 @@ class _CheckpointRecorder:
 
 
 def record_checkpoints(
-    session: SamplerSession,
+    sessions: Union[SamplerSession, Sequence[SamplerSession]],
     schedule: str,
     checkpoints: Sequence[float],
     needs: Optional[FusedNeeds] = None,
-) -> Tuple[List[Any], int]:
-    """Advance ``session`` through ``checkpoints`` with ``advance_into``.
+) -> Any:
+    """Advance ``sessions`` through ``checkpoints`` with ``advance_into``.
 
     ``schedule="budget"`` advances to each checkpoint budget;
     ``schedule="steps"`` treats checkpoints as cumulative step counts
-    (per-walker steps for MultipleRW).  Returns ``(items, steps_taken)``:
-    one item per checkpoint — a ``FusedBlock`` when ``needs`` is given
-    and the session has a block path, its ``take_trace()`` increment
-    otherwise — and the session's final step count.  The session is
-    closed (when it owns resources) before returning.
+    (per-walker steps for MultipleRW).  For one session returns
+    ``(items, steps_taken)``: one item per checkpoint — a ``FusedBlock``
+    when ``needs`` is given and the session has a block path, its
+    ``take_trace()`` increment otherwise — and the session's final step
+    count.  For a sequence of sessions (a batch) returns one such pair
+    per session, in order.  Every session is closed (when it owns
+    resources) before returning.
+
+    A batch's csr sessions that share a session type and a CSR advance
+    together: each checkpoint is one kernel call for all of them
+    (:func:`_advance_batch_into`), and each session's walk, items and
+    generator state equal its run alone.  Other sessions advance one by
+    one.
 
     This is THE anytime replication loop: the experiment engine's
     in-process path and the :class:`~repro.sampling.sharded.
@@ -453,21 +470,82 @@ def record_checkpoints(
     drift apart — which is what makes ``procs`` a statistics-invariant
     deployment knob.
     """
-    recorder = _CheckpointRecorder(needs)
+    lone = isinstance(sessions, SamplerSession)
+    batch: List[SamplerSession] = (
+        [sessions] if isinstance(sessions, SamplerSession) else list(sessions)
+    )
+    recorders = [_CheckpointRecorder(needs) for _ in batch]
     try:
         for checkpoint in checkpoints:
             if schedule == "steps":
-                session.advance_into(
-                    recorder,
-                    steps=max(0, int(checkpoint) - session.steps_taken),
+                _advance_batch_into(
+                    batch,
+                    recorders,
+                    steps=[
+                        max(0, int(checkpoint) - session.steps_taken)
+                        for session in batch
+                    ],
                 )
             else:
-                session.advance_into(recorder, budget=checkpoint)
-        return recorder.items, int(session.steps_taken)
+                _advance_batch_into(batch, recorders, budget=checkpoint)
+        rows = [
+            (recorder.items, int(session.steps_taken))
+            for recorder, session in zip(recorders, batch)
+        ]
+        return rows[0] if lone else rows
     finally:
-        closer = getattr(session, "close", None)
-        if closer is not None:
-            closer()
+        for session in batch:
+            closer = getattr(session, "close", None)
+            if closer is not None:
+                closer()
+
+
+def _advance_batch_into(
+    sessions: Sequence[SamplerSession],
+    accumulators: Sequence[Any],
+    steps: Optional[Sequence[int]] = None,
+    budget: Optional[float] = None,
+) -> List[int]:
+    """:meth:`SamplerSession.advance_into` for many sessions at once.
+
+    Session ``i`` advances by ``steps[i]`` steps, or to ``budget``, and
+    ``accumulators[i]`` (one accumulator or a sequence of them) gets
+    its one item.  csr sessions of one type on one CSR that take the
+    same number of new steps on the same statistics path walk in one
+    kernel call; every other session advances alone.  Returns each
+    session's new step count.
+    """
+    counts: List[Optional[int]] = (
+        [None] * len(sessions) if steps is None else list(steps)
+    )
+    parts = [_accumulator_parts(given) for given in accumulators]
+    taken = [0] * len(sessions)
+    groups: Dict[Tuple[Any, ...], List[int]] = {}
+    for i, (session, count) in enumerate(zip(sessions, counts)):
+        if isinstance(session, _ArraySession):
+            delta = session._new_steps(count, budget)
+            key = (
+                type(session),
+                id(session._fast),
+                session._batch_key(),
+                delta,
+                merge_needs(parts[i]),
+            )
+            groups.setdefault(key, []).append(i)
+        else:
+            taken[i] = session.advance_into(parts[i], steps=count, budget=budget)
+    for (kind, _, _, delta, needs), members in groups.items():
+        kind._advance_group_into(
+            [sessions[i] for i in members],
+            [parts[i] for i in members],
+            [counts[i] for i in members],
+            budget,
+            delta,
+            needs,
+        )
+        for i in members:
+            taken[i] = delta
+    return taken
 
 
 class _CheckpointUnpickler(pickle.Unpickler):
@@ -842,12 +920,27 @@ class _ArraySession(SamplerSession):
         self._fast = get_csr(graph)
 
     # ------------------------------------------------------------------
-    # the block path
+    # batches and the block path
     # ------------------------------------------------------------------
+    def _batch_key(self) -> Tuple[Any, ...]:
+        """What sessions of this type must share to walk in one kernel
+        call (besides their CSR): the walker count and selection rule."""
+        return ()
+
+    @classmethod
     @abc.abstractmethod
-    def _advance(self, steps: int, block: Optional[FusedBlock] = None) -> None:
-        """Take ``steps`` steps through the walk's runner: recorded as a
-        chunk, or folded into ``block`` (the walk is the same)."""
+    def _advance_batch(
+        cls,
+        sessions: List[Any],
+        steps: int,
+        blocks: Optional[List[FusedBlock]],
+    ) -> None:
+        """Take ``steps`` steps in each session through one call of the
+        walk's runner: recorded as chunks, or folded into ``blocks[i]``
+        (the walks are the same)."""
+
+    def _advance(self, steps: int) -> None:
+        type(self)._advance_batch([self], steps, None)
 
     def _fused_block(self, needs: FusedNeeds) -> FusedBlock:
         if self._max_degree is None:
@@ -866,37 +959,57 @@ class _ArraySession(SamplerSession):
         """Walk and accumulate in one kernel pass (the block path).
 
         Engages when every accumulator's ``fused_needs()`` names its
-        block statistics; otherwise defers to the base trace path.
-        Each call absorbs exactly one block, covering the same steps one
+        block statistics; otherwise takes the base trace path.  Each
+        call absorbs exactly one block, covering the same steps one
         ``take_trace()`` would, so estimates are bit-identical either
         way — the estimators share one count-based reduction between
-        ``update`` and ``absorb_block``.
+        ``update`` and ``absorb_block``.  A lone call is the batch of
+        one of :func:`_advance_batch_into`.
         """
-        parts = _accumulator_parts(accumulators)
-        needs = merge_needs(parts)
-        if needs is None:
-            return super().advance_into(
-                accumulators, steps=steps, budget=budget
-            )
-        delta = self._new_steps(steps, budget)
-        block = self._fused_block(needs)
-        # A record retained from earlier plain advances joins the block,
-        # so mixing advance() and advance_into() loses and double-counts
-        # nothing.
-        if self._source_chunks:
-            retained = self.take_trace()
-            block.fold_step_arrays(
-                vectorized.degrees_array(self._fast),
-                retained.step_sources,
-                retained.step_targets,
-            )
+        return _advance_batch_into(
+            [self], [accumulators], None if steps is None else [steps], budget
+        )[0]
+
+    @classmethod
+    def _advance_group_into(
+        cls,
+        sessions: List["_ArraySession"],
+        parts: List[List[Any]],
+        steps: List[Optional[int]],
+        budget: Optional[float],
+        delta: int,
+        needs: Optional[FusedNeeds],
+    ) -> None:
+        """One kernel call advances every session by ``delta`` steps;
+        each session's accumulators then get its item: a block when
+        ``needs`` names the statistics they take, else the session's
+        ``take_trace()`` increment."""
+        blocks: Optional[List[FusedBlock]] = None
+        if needs is not None:
+            blocks = [session._fused_block(needs) for session in sessions]
+            for session, block in zip(sessions, blocks):
+                # A record retained from earlier plain advances joins
+                # the block, so mixing advance() and advance_into()
+                # loses and double-counts nothing.
+                if session._source_chunks:
+                    retained = session.take_trace()
+                    block.fold_step_arrays(
+                        vectorized.degrees_array(session._fast),
+                        retained.step_sources,
+                        retained.step_targets,
+                    )
         if delta:
-            self._advance(delta, block)
-            self.steps_taken += delta
-        self._book(steps, budget)
-        for part in parts:
-            part.absorb_block(block)
-        return delta
+            cls._advance_batch(sessions, delta, blocks)
+        for i, (session, count) in enumerate(zip(sessions, steps)):
+            session.steps_taken += delta
+            session._book(count, budget)
+            if blocks is None:
+                increment = session.take_trace()
+                for part in parts[i]:
+                    part.update(increment)
+            else:
+                for part in parts[i]:
+                    part.absorb_block(blocks[i])
 
 
 class ArraySingleSession(_ArraySession):
@@ -912,12 +1025,24 @@ class ArraySingleSession(_ArraySession):
         super().__init__(sampler, graph, rng, initial_vertices)
         self.position = self.initial_vertices[0]
 
-    def _advance(self, steps: int, block: Optional[FusedBlock] = None) -> None:
-        (self.position,), record = vectorized.run_random_walk(
-            self._fast, [self.position], steps, self.rng, block
+    @classmethod
+    def _advance_batch(
+        cls,
+        sessions: List[Any],
+        steps: int,
+        blocks: Optional[List[FusedBlock]],
+    ) -> None:
+        finals, records = vectorized.run_random_walk(
+            sessions[0]._fast,
+            [[session.position] for session in sessions],
+            steps,
+            [session.rng for session in sessions],
+            blocks,
         )
-        if record is not None:
-            self._record_chunk(*record)
+        for session, (position,), record in zip(sessions, finals, records):
+            session.position = position
+            if record is not None:
+                session._record_chunk(*record)
 
 
 class ArrayMultipleSession(_ArraySession):
@@ -940,14 +1065,30 @@ class ArrayMultipleSession(_ArraySession):
     def _seed_count(self, sampler: Any) -> int:
         return int(sampler.num_walkers)
 
-    def _advance(self, steps: int, block: Optional[FusedBlock] = None) -> None:
-        # Walker w's steps fill slots [w * steps, (w + 1) * steps).
-        self.positions, record = vectorized.run_random_walk(
-            self._fast, self.positions, steps, self.rng, block
+    def _batch_key(self) -> Tuple[Any, ...]:
+        return (len(self.positions),)
+
+    @classmethod
+    def _advance_batch(
+        cls,
+        sessions: List[Any],
+        steps: int,
+        blocks: Optional[List[FusedBlock]],
+    ) -> None:
+        # Walker w's steps fill slots [w * steps, (w + 1) * steps) of
+        # its session's record.
+        finals, records = vectorized.run_random_walk(
+            sessions[0]._fast,
+            [session.positions for session in sessions],
+            steps,
+            [session.rng for session in sessions],
+            blocks,
         )
-        if record is not None:
-            walkers = np.arange(len(self.positions), dtype=np.int64)
-            self._record_chunk(*record, np.repeat(walkers, steps))
+        for session, positions, record in zip(sessions, finals, records):
+            session.positions = positions
+            if record is not None:
+                walkers = np.arange(len(positions), dtype=np.int64)
+                session._record_chunk(*record, np.repeat(walkers, steps))
 
 
 class ArrayFrontierSession(_ArraySession):
@@ -969,17 +1110,28 @@ class ArrayFrontierSession(_ArraySession):
     def _seed_count(self, sampler: Any) -> int:
         return int(sampler.dimension)
 
-    def _advance(self, steps: int, block: Optional[FusedBlock] = None) -> None:
-        self.frontier, record = vectorized.run_frontier(
-            self._fast,
-            self.frontier,
+    def _batch_key(self) -> Tuple[Any, ...]:
+        return (len(self.frontier), self.walker_selection)
+
+    @classmethod
+    def _advance_batch(
+        cls,
+        sessions: List[Any],
+        steps: int,
+        blocks: Optional[List[FusedBlock]],
+    ) -> None:
+        finals, records = vectorized.run_frontier(
+            sessions[0]._fast,
+            [session.frontier for session in sessions],
             steps,
-            self.rng,
-            self.walker_selection,
-            block,
+            [session.rng for session in sessions],
+            sessions[0].walker_selection,
+            blocks,
         )
-        if record is not None:
-            self._record_chunk(*record)
+        for session, frontier, record in zip(sessions, finals, records):
+            session.frontier = frontier
+            if record is not None:
+                session._record_chunk(*record)
 
 
 class ArrayMetropolisSession(_ArraySession):
@@ -992,14 +1144,26 @@ class ArrayMetropolisSession(_ArraySession):
         self.position = self.initial_vertices[0]
         self._visited_chunks: List[np.ndarray] = []
 
-    def _advance(self, steps: int, block: Optional[FusedBlock] = None) -> None:
-        self.position, record = vectorized.run_metropolis(
-            self._fast, self.position, steps, self.rng, block
+    @classmethod
+    def _advance_batch(
+        cls,
+        sessions: List[Any],
+        steps: int,
+        blocks: Optional[List[FusedBlock]],
+    ) -> None:
+        finals, records = vectorized.run_metropolis(
+            sessions[0]._fast,
+            [session.position for session in sessions],
+            steps,
+            [session.rng for session in sessions],
+            blocks,
         )
-        if record is not None:
-            edge_sources, edge_targets, visited = record
-            self._record_chunk(edge_sources, edge_targets)
-            self._visited_chunks.append(visited)
+        for session, position, record in zip(sessions, finals, records):
+            session.position = position
+            if record is not None:
+                edge_sources, edge_targets, visited = record
+                session._record_chunk(edge_sources, edge_targets)
+                session._visited_chunks.append(visited)
 
     def _units_spent(self) -> float:
         return float(self.steps_taken)  # proposals, not accepted edges

@@ -79,6 +79,7 @@ from repro.sampling.base import (
 )
 from repro.sampling.fused import FusedNeeds, block_from_arrays, merge_needs
 from repro.sampling.session import (
+    _REPLICATE_BATCH,
     SamplerSession,
     _accumulator_parts,
     concat_chunks,
@@ -278,25 +279,31 @@ def _shard_advance_task(
     return out
 
 
-#: ``(starter, sampler, schedule, checkpoints, root_seed, index, needs)``.
-_AnytimeArgs = Tuple[Any, Any, str, List[float], int, int, Optional[FusedNeeds]]
+#: ``(starter, sampler, schedule, checkpoints, root_seed, indices,
+#: needs)``.
+_AnytimeArgs = Tuple[
+    Any, Any, str, List[float], int, Sequence[int], Optional[FusedNeeds]
+]
 
 
 @thread_core
-def _anytime_task(csr: CSRGraph, args: _AnytimeArgs) -> Tuple[List[Any], int]:
-    """One anytime session advanced through every checkpoint.
+def _anytime_task(
+    csr: CSRGraph, args: _AnytimeArgs
+) -> List[Tuple[List[Any], int]]:
+    """A batch of anytime sessions advanced through every checkpoint.
 
-    Returns ``(items, steps_taken)`` — one item per checkpoint (a
-    :class:`~repro.sampling.fused.FusedBlock` when ``needs`` is given,
-    the ``take_trace`` increment otherwise) and the session's final
-    step count.  The checkpoint loop itself is
+    Opens one session per replicate index of the batch and returns one
+    ``(items, steps_taken)`` per session, in index order — one item per
+    checkpoint (a :class:`~repro.sampling.fused.FusedBlock` when
+    ``needs`` is given, the ``take_trace`` increment otherwise) and the
+    session's final step count.  The checkpoint loop itself is
     :func:`~repro.sampling.session.record_checkpoints` — the same
     function the experiment engine's in-process path runs, so the
     pooled and in-process paths cannot drift apart.
     """
-    starter, sampler, schedule, checkpoints, root_seed, index, needs = args
-    session = starter(sampler, csr, root_seed, index)
-    return record_checkpoints(session, schedule, checkpoints, needs)
+    starter, sampler, schedule, checkpoints, root_seed, indices, needs = args
+    sessions = [starter(sampler, csr, root_seed, index) for index in indices]
+    return record_checkpoints(sessions, schedule, checkpoints, needs)
 
 
 def _shard_advance(
@@ -306,7 +313,7 @@ def _shard_advance(
     return _shard_advance_task(_WORKER_CSR, task)
 
 
-def _pool_anytime_one(args: _AnytimeArgs) -> Tuple[List[Any], int]:
+def _pool_anytime_one(args: _AnytimeArgs) -> List[Tuple[List[Any], int]]:
     """Spawn wrapper for :func:`_anytime_task`."""
     return _anytime_task(_WORKER_CSR, args)
 
@@ -830,10 +837,17 @@ class ShardedSessionPool(_SpawnPoolMixin):
         picklable (a module-level function or an instance of a
         module-level class) when the spawn executor runs it.
 
-        ``lazy=True`` returns an iterator over the rows (task order)
-        instead of a list, so a streaming consumer — the experiment
-        engine accumulating replicate by replicate — never holds more
-        than one replicate's items at a time.
+        The runs go out as ``max(procs, ceil(runs / 8))`` contiguous,
+        near-even batches, so every worker gets one; a batch's sessions
+        walk together, one kernel call per checkpoint
+        (:func:`~repro.sampling.session.record_checkpoints`).
+
+        ``lazy=True`` returns an iterator over the rows (replicate
+        order) instead of a list, for a streaming consumer such as the
+        experiment engine accumulating replicate by replicate.  Inline
+        (``procs <= 1``) it then holds one batch's items at a time;
+        under ``procs > 1`` the executor runs every batch as soon as a
+        worker is free, so all of them may be held at once.
         """
         self._check_run(sampler, runs)
         if schedule not in ("budget", "steps"):
@@ -848,15 +862,19 @@ class ShardedSessionPool(_SpawnPoolMixin):
             )
         if starter is None:
             starter = default_session_starter
+        batches = _partition(
+            list(range(runs)),
+            max(self.procs, -(-runs // _REPLICATE_BATCH)),
+        )
         tasks = [
-            (starter, sampler, schedule, marks, root_seed, index, needs)
-            for index in range(runs)
+            (starter, sampler, schedule, marks, root_seed, batch, needs)
+            for batch in batches
         ]
-        rows: Iterator[Tuple[List[Any], int]]
+        results: Iterator[List[Tuple[List[Any], int]]]
         if self.procs <= 1:
-            rows = (_anytime_task(self._csr, task) for task in tasks)
+            results = (_anytime_task(self._csr, task) for task in tasks)
         elif self.executor == "thread":
-            rows = self._ensure_threads().map(
+            results = self._ensure_threads().map(
                 partial(_anytime_task, self._csr), tasks
             )
         else:
@@ -864,5 +882,6 @@ class ShardedSessionPool(_SpawnPoolMixin):
             # wrapper, reading the graph from their per-process global.
             pool = self._ensure_pool(self._csr)
             chunk = max(1, len(tasks) // (self.procs * 4))
-            rows = pool.imap(_pool_anytime_one, tasks, chunksize=chunk)
+            results = pool.imap(_pool_anytime_one, tasks, chunksize=chunk)
+        rows = (row for result in results for row in result)
         return rows if lazy else list(rows)

@@ -27,9 +27,13 @@ There is one runner per walk, and it serves both statistics paths:
 without a :class:`~repro.sampling.fused.FusedBlock` it returns the step
 record (the trace path); handed one, it folds the eq. (7)/(9) counts
 into the block instead (the block path).  The walk, and the walker
-state it leaves behind, is the same either way.  The runners are the
-kernels of the csr sessions (:mod:`repro.sampling.session`); a walk
-starts through its sampler's ``start()``, which draws the seeds.
+state it leaves behind, is the same either way.  Each runner also
+takes a batch — R generators, R walker states and ``None`` or R
+blocks — and walks it in one kernel call, each replicate drawing its
+row of uniforms from its own generator; one generator is the batch of
+one.  The runners are the kernels of the csr sessions
+(:mod:`repro.sampling.session`); a walk starts through its sampler's
+``start()``, which draws the seeds.
 
 Draw protocol (per session): seed uniforms first — one per seed,
 against the walkable-vertex count (uniform seeding) or the total
@@ -42,7 +46,8 @@ block per walker would draw), all walkers advanced in one kernel call.
 
 A step from a zero-degree vertex — reachable only on an unvalidated
 CSR — raises the same ``ValueError`` on both kernel paths, naming the
-vertex; the kernels check every step, so the runners do not pre-check
+vertex of the lowest-indexed stuck chain (replicate first, then
+walker); the kernels check every step, so the runners do not pre-check
 starts.  Only the error is the same, not the state left behind: a
 native kernel has already folded the steps before the stuck one into
 the walkers and the block, the mirror none of them, and the session
@@ -52,7 +57,7 @@ that error, discard the block and the session.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -296,13 +301,47 @@ def _fold(
     return None
 
 
+Rngs = Union[np.random.Generator, Sequence[np.random.Generator]]
+Blocks = Union[None, FusedBlock, Sequence[FusedBlock]]
+
+
+def _batch(
+    rng: Rngs, state: Any, block: Blocks
+) -> Tuple[bool, List[np.random.Generator], List[Any], Optional[List[FusedBlock]]]:
+    """A runner's arguments as a batch ``(lone, rngs, states, blocks)``,
+    ``blocks`` being ``None`` on the trace path: one generator with its
+    walker state and block is the batch of one."""
+    if isinstance(rng, np.random.Generator):
+        return True, [rng], [state], None if block is None else [block]
+    return False, list(rng), list(state), None if block is None else list(block)
+
+
+def _draw_rows(rngs: List[np.random.Generator], count: int) -> np.ndarray:
+    """One row of ``count`` uniforms per generator, replicate-major:
+    ``rng.random(out=row)`` draws exactly what ``rng.random(count)``
+    would."""
+    uniforms = np.empty((len(rngs), count))
+    for rng, row in zip(rngs, uniforms):
+        rng.random(out=row)
+    return uniforms
+
+
+def _result(
+    lone: bool, finals: List[Any], records: Optional[Sequence[Optional[Record]]]
+) -> Tuple[Any, Any]:
+    """A runner's ``(finals, records)`` (``records`` ``None`` when every
+    step went into the blocks), unwrapped for the batch of one."""
+    rows = list(records) if records is not None else [None] * len(finals)
+    return (finals[0], rows[0]) if lone else (finals, rows)
+
+
 def run_random_walk(
     graph: CSRGraph,
-    walkers: Sequence[int],
+    walkers: Any,
     steps: int,
-    rng: np.random.Generator,
-    block: Optional[FusedBlock] = None,
-) -> Tuple[List[int], Optional[Record]]:
+    rng: Rngs,
+    block: Blocks = None,
+) -> Tuple[Any, Any]:
     """SRW: ``steps`` steps for each of ``walkers`` (start vertices; a
     bare vertex is one walker), walker by walker — SingleRW is one
     walker, MultipleRW many.
@@ -314,47 +353,61 @@ def run_random_walk(
     given, the steps then being folded into it.  ``walkers`` itself is
     never modified.
 
-    A step from a zero-degree vertex raises ``ValueError`` naming it;
-    the ``block`` and the calling session must then be discarded (see
+    Batch form: ``rng`` is a sequence of R generators, ``walkers`` R
+    equal-length walker sequences and ``block`` ``None`` or R blocks.
+    Each replicate draws its row of uniforms from its own generator,
+    one kernel call walks them all, and the result is one
+    ``final_walkers`` and one ``record`` per replicate, each equal to
+    the replicate's run alone.
+
+    A step from a zero-degree vertex raises ``ValueError`` naming it
+    (in a batch, the lowest-indexed stuck walker's, replicate first);
+    the blocks and the calling sessions must then be discarded (see
     the module docstring).
     """
-    positions = np.array(walkers, dtype=np.int64, ndmin=1)
-    uniforms = rng.random(positions.size * steps)
+    lone, rngs, starts, blocks = _batch(rng, walkers, block)
+    positions = np.array(starts, dtype=np.int64).reshape(len(rngs), -1)
+    uniforms = _draw_rows(rngs, positions.shape[1] * steps)
     if _native.available():
-        record = _native.rw_steps_acc(
-            graph, positions, uniforms, positions.size * steps, block
+        records = _native.rw_steps_acc(
+            graph, positions, uniforms, positions.size * steps,
+            blocks,
         )
-        return positions.tolist(), record
+        return _result(lone, positions.tolist(), records)
     degree_of, neighbor_at = _accessors(graph)
-    draws = uniforms.tolist()
-    finals: List[int] = []
-    sources: List[int] = []
-    targets: List[int] = []
-    for w, current in enumerate(positions.tolist()):
-        for u in draws[w * steps : (w + 1) * steps]:
-            degree = degree_of(current)
-            if degree <= 0:
-                raise _native.isolated(current)
-            nxt = neighbor_at(current, _scale(u, degree))
-            sources.append(current)
-            targets.append(nxt)
-            current = nxt
-        finals.append(current)
-    record = (
-        np.asarray(sources, dtype=np.int64),
-        np.asarray(targets, dtype=np.int64),
-    )
-    return finals, _fold(graph, block, record)
+    finals: List[List[int]] = []
+    folded: List[Optional[Record]] = []
+    into_blocks = blocks or [None] * len(rngs)
+    for row, draws, into in zip(positions.tolist(), uniforms.tolist(), into_blocks):
+        sources: List[int] = []
+        targets: List[int] = []
+        for w, current in enumerate(row):
+            for u in draws[w * steps : (w + 1) * steps]:
+                degree = degree_of(current)
+                if degree <= 0:
+                    raise _native.isolated(current)
+                nxt = neighbor_at(current, _scale(u, degree))
+                sources.append(current)
+                targets.append(nxt)
+                current = nxt
+            row[w] = current
+        finals.append(row)
+        record = (
+            np.asarray(sources, dtype=np.int64),
+            np.asarray(targets, dtype=np.int64),
+        )
+        folded.append(_fold(graph, into, record))
+    return _result(lone, finals, folded)
 
 
 def run_frontier(
     graph: CSRGraph,
-    frontier: Sequence[int],
+    frontier: Any,
     steps: int,
-    rng: np.random.Generator,
+    rng: Rngs,
     walker_selection: str = "degree",
-    block: Optional[FusedBlock] = None,
-) -> Tuple[List[int], Optional[Record]]:
+    block: Blocks = None,
+) -> Tuple[Any, Any]:
     """FS from ``frontier`` (never modified; the walk runs on a copy).
 
     Returns ``(final_frontier, record)`` with the step record
@@ -363,80 +416,88 @@ def run_frontier(
     selection consumes one uniform per step, found by a linear
     cumulative-degree scan here and by the kernel's Fenwick descent,
     which pick the same walker; the uniform-walker ablation consumes
-    two.
+    two.  The batch form takes R generators, R frontiers of one size
+    and ``None`` or R blocks, as :func:`run_random_walk` does.
 
     Degree selection raises ``ValueError`` once the frontier's total
     degree is zero; uniform selection raises one naming the vertex when
-    it picks a walker standing on a zero-degree vertex.  The ``block``
-    and the calling session must then be discarded.
+    it picks a walker standing on a zero-degree vertex.  In a batch the
+    lowest-indexed replicate that fails raises.  The blocks and the
+    calling sessions must then be discarded.
     """
     if walker_selection not in ("degree", "uniform"):
         raise ValueError(
             "walker_selection must be 'degree' or 'uniform',"
             f" got {walker_selection!r}"
         )
-    positions_array = np.array(frontier, dtype=np.int64)
-    _check_frontier_start(graph, positions_array)
+    lone, rngs, frontiers, blocks = _batch(rng, frontier, block)
+    positions = np.array(frontiers, dtype=np.int64).reshape(len(rngs), -1)
+    _check_frontier_start(graph, positions.ravel())
     degree_selection = walker_selection == "degree"
-    uniforms = rng.random(steps if degree_selection else 2 * steps)
+    uniforms = _draw_rows(rngs, steps if degree_selection else 2 * steps)
     if _native.available():
-        record = _native.fs_steps_acc(
-            graph, positions_array, uniforms, steps, degree_selection, block
+        records = _native.fs_steps_acc(
+            graph, positions, uniforms, len(rngs) * steps, degree_selection,
+            blocks,
         )
-        return positions_array.tolist(), record
+        return _result(lone, positions.tolist(), records)
     degree_of, neighbor_at = _accessors(graph)
-    draws = uniforms.tolist()
-    positions = positions_array.tolist()
-    m = len(positions)
-    total = sum(degree_of(v) for v in positions)
-    sources: List[int] = []
-    targets: List[int] = []
-    walker_of: List[int] = []
-    for k in range(steps):
-        if degree_selection:
-            if total <= 0:
-                raise ValueError(
-                    "frontier reached a state with zero total degree"
-                )
-            target = _scale(draws[k], total)
-            acc = 0
-            idx = 0
-            while True:
-                degree = degree_of(positions[idx])
-                if target < acc + degree:
-                    offset = target - acc
-                    break
-                acc += degree
-                idx += 1
-        else:
-            idx = _scale(draws[2 * k], m)
-            degree = degree_of(positions[idx])
-            if degree <= 0:
-                raise _native.isolated(positions[idx])
-            offset = _scale(draws[2 * k + 1], degree)
-        current = positions[idx]
-        old_degree = degree_of(current)
-        nxt = neighbor_at(current, offset)
-        sources.append(current)
-        targets.append(nxt)
-        walker_of.append(idx)
-        positions[idx] = nxt
-        total += degree_of(nxt) - old_degree
-    record = (
-        np.asarray(sources, dtype=np.int64),
-        np.asarray(targets, dtype=np.int64),
-        np.asarray(walker_of, dtype=np.int64),
-    )
-    return positions, _fold(graph, block, record)
+    finals: List[List[int]] = []
+    folded: List[Optional[Record]] = []
+    into_blocks = blocks or [None] * len(rngs)
+    for walkers, draws, into in zip(positions.tolist(), uniforms.tolist(), into_blocks):
+        m = len(walkers)
+        total = sum(degree_of(v) for v in walkers)
+        sources: List[int] = []
+        targets: List[int] = []
+        walker_of: List[int] = []
+        for k in range(steps):
+            if degree_selection:
+                if total <= 0:
+                    raise ValueError(
+                        "frontier reached a state with zero total degree"
+                    )
+                target = _scale(draws[k], total)
+                acc = 0
+                idx = 0
+                while True:
+                    degree = degree_of(walkers[idx])
+                    if target < acc + degree:
+                        offset = target - acc
+                        break
+                    acc += degree
+                    idx += 1
+            else:
+                idx = _scale(draws[2 * k], m)
+                degree = degree_of(walkers[idx])
+                if degree <= 0:
+                    raise _native.isolated(walkers[idx])
+                offset = _scale(draws[2 * k + 1], degree)
+            current = walkers[idx]
+            old_degree = degree_of(current)
+            nxt = neighbor_at(current, offset)
+            sources.append(current)
+            targets.append(nxt)
+            walker_of.append(idx)
+            walkers[idx] = nxt
+            total += degree_of(nxt) - old_degree
+        finals.append(walkers)
+        record = (
+            np.asarray(sources, dtype=np.int64),
+            np.asarray(targets, dtype=np.int64),
+            np.asarray(walker_of, dtype=np.int64),
+        )
+        folded.append(_fold(graph, into, record))
+    return _result(lone, finals, folded)
 
 
 def run_metropolis(
     graph: CSRGraph,
-    start: int,
+    start: Any,
     steps: int,
-    rng: np.random.Generator,
-    block: Optional[FusedBlock] = None,
-) -> Tuple[int, Optional[Record]]:
+    rng: Rngs,
+    block: Blocks = None,
+) -> Tuple[Any, Any]:
     """MH from ``start``; two uniforms per step.
 
     Returns ``(final, record)`` with the step record ``(edge_sources,
@@ -445,33 +506,46 @@ def run_metropolis(
     step.  With a ``block`` the accepted transitions fold into it
     instead (``block.steps`` grows by the accepted count, mirroring
     ``ArrayMetropolisTrace.step_targets``) and ``record`` is ``None``.
+    The batch form takes R generators, R starts and ``None`` or R
+    blocks, as :func:`run_random_walk` does.
 
-    A step from a zero-degree vertex raises ``ValueError`` naming it;
-    the ``block`` and the calling session must then be discarded.
+    A step from a zero-degree vertex raises ``ValueError`` naming it
+    (in a batch, the lowest-indexed stuck replicate's); the blocks and
+    the calling sessions must then be discarded.
     """
-    uniforms = rng.random(2 * steps)
+    lone, rngs, starts, blocks = _batch(rng, start, block)
+    positions = np.array(starts, dtype=np.int64).reshape(len(rngs))
+    uniforms = _draw_rows(rngs, 2 * steps)
     if _native.available():
-        return _native.mh_steps_acc(graph, start, uniforms, steps, block)
+        records = _native.mh_steps_acc(
+            graph, positions, uniforms, positions.size * steps,
+            blocks,
+        )
+        return _result(lone, positions.tolist(), records)
     degree_of, neighbor_at = _accessors(graph)
-    draws = uniforms.tolist()
-    edge_sources: List[int] = []
-    edge_targets: List[int] = []
-    visited: List[int] = []
-    current = int(start)
-    for k in range(steps):
-        degree_u = degree_of(current)
-        if degree_u <= 0:
-            raise _native.isolated(current)
-        proposal = neighbor_at(current, _scale(draws[2 * k], degree_u))
-        degree_v = degree_of(proposal)
-        if draws[2 * k + 1] * degree_v < degree_u:
-            edge_sources.append(current)
-            edge_targets.append(proposal)
-            current = proposal
-        visited.append(current)
-    record = (
-        np.asarray(edge_sources, dtype=np.int64),
-        np.asarray(edge_targets, dtype=np.int64),
-        np.asarray(visited, dtype=np.int64),
-    )
-    return current, _fold(graph, block, record)
+    finals: List[int] = []
+    folded: List[Optional[Record]] = []
+    into_blocks = blocks or [None] * len(rngs)
+    for current, draws, into in zip(positions.tolist(), uniforms.tolist(), into_blocks):
+        edge_sources: List[int] = []
+        edge_targets: List[int] = []
+        visited: List[int] = []
+        for k in range(steps):
+            degree_u = degree_of(current)
+            if degree_u <= 0:
+                raise _native.isolated(current)
+            proposal = neighbor_at(current, _scale(draws[2 * k], degree_u))
+            degree_v = degree_of(proposal)
+            if draws[2 * k + 1] * degree_v < degree_u:
+                edge_sources.append(current)
+                edge_targets.append(proposal)
+                current = proposal
+            visited.append(current)
+        finals.append(current)
+        record = (
+            np.asarray(edge_sources, dtype=np.int64),
+            np.asarray(edge_targets, dtype=np.int64),
+            np.asarray(visited, dtype=np.int64),
+        )
+        folded.append(_fold(graph, into, record))
+    return _result(lone, finals, folded)

@@ -2,6 +2,9 @@
 
 - MultipleRW advances all of its walkers in one kernel call, whose
   ``steps`` argument (the 4th positional one) is the call's total.
+- ``run_plan`` walks a method's replicates in batches of at most 8:
+  one kernel call per batch and checkpoint, whose ``steps`` is the
+  batch's total, and one ``sampler.start`` per replicate.
 - A walk reads ``REPRO_NO_NATIVE`` once per call, in the runner.
 - A ``CSRGraph`` binds its kernel pointers and walkable set once and
   keeps them, but pickles and copies carry none of its derived caches;
@@ -16,10 +19,13 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.experiments.engine import ExperimentPlan, run_plan
 from repro.generators.ba import barabasi_albert
 from repro.graph.csr import CSRGraph, get_csr
 from repro.sampling import _native
+from repro.sampling.frontier import FrontierSampler
 from repro.sampling.fused import FusedNeeds
+from repro.sampling.metropolis import MetropolisHastingsWalk
 from repro.sampling.multiple import MultipleRandomWalk
 from repro.sampling.session import load_session, record_checkpoints
 from repro.sampling.single import SingleRandomWalk
@@ -76,6 +82,60 @@ def test_one_kernel_call_per_single_advance(monkeypatch, graph):
     steps = _spy(monkeypatch, "rw_steps_acc")
     SingleRandomWalk(backend="csr").sample(graph, 40, rng=3)
     assert steps == [39]
+
+
+class _BlockSink:
+    """An accumulator that takes degree-count blocks and keeps nothing."""
+
+    def fused_needs(self):
+        return FusedNeeds(degree_counts=True)
+
+    def absorb_block(self, block):
+        return self
+
+
+@needs_native
+@pytest.mark.parametrize("fused", [False, True], ids=["trace", "block"])
+def test_one_kernel_call_per_batch_and_checkpoint(monkeypatch, graph, fused):
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    calls = {name: _spy(monkeypatch, name) for name in (
+        "rw_steps_acc", "fs_steps_acc", "mh_steps_acc"
+    )}
+    samplers = {
+        "fs": FrontierSampler(3, backend="csr"),
+        "mhrw": MetropolisHastingsWalk(backend="csr"),
+        "mrw": MultipleRandomWalk(3, backend="csr"),
+        "srw": SingleRandomWalk(backend="csr"),
+    }
+    starts = {name: 0 for name in samplers}
+    for name, sampler in samplers.items():
+        real = sampler.start
+
+        def start(*args, _name=name, _real=real, **kwargs):
+            starts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, "start", start)
+    plan = ExperimentPlan(
+        title="batches",
+        graph=graph,
+        samplers=samplers,
+        budgets=[10, 20, 35],
+        schedule="steps",
+        accumulator=(lambda method: _BlockSink()) if fused else None,
+        snapshot=(lambda method, acc, checkpoint: checkpoint) if fused else None,
+        backend="csr",
+    )
+    result = run_plan(plan, 10)
+    # Batches of 8 and 2 replicates; each replicate takes 10, 10 and 15
+    # steps per walker at the three checkpoints.
+    per_batch = [8 * 10, 8 * 10, 8 * 15, 2 * 10, 2 * 10, 2 * 15]
+    assert calls["fs_steps_acc"] == per_batch
+    assert calls["mh_steps_acc"] == per_batch
+    # run_plan walks the sorted methods: mrw (3 walkers), then srw.
+    assert calls["rw_steps_acc"] == [3 * n for n in per_batch] + per_batch
+    assert starts == {name: 10 for name in samplers}
+    assert all(run.steps_taken == [35] * 10 for run in result.methods.values())
 
 
 @needs_native

@@ -6,6 +6,11 @@ mmap load yields — skips that check, and a walker can then arrive on a
 zero-degree vertex.  Stepping from it would index before its row; every
 walk must instead raise a ``ValueError`` naming the vertex, on both
 kernel paths and on both the trace and the block path.
+
+A walk of several independent chains (the walkers of MultipleRW, the
+replicates of a batch) names the vertex of the lowest-indexed stuck
+chain, replicate first, then walker: the chain a walk of the chains
+one after another stops at, whichever chain gets stuck first in time.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from repro.sampling.frontier import FrontierSampler
 from repro.sampling.fused import FusedBlock, FusedNeeds
 from repro.sampling.metropolis import MetropolisHastingsWalk
 from repro.sampling.multiple import MultipleRandomWalk
+from repro.sampling.session import record_checkpoints
 from repro.sampling.single import SingleRandomWalk
 
 PATHS = ["csr-python"] + (["csr-native"] if _native.available() else [])
@@ -64,14 +70,43 @@ def test_single_walk(kernel):
 
 
 @pytest.mark.parametrize(
-    "starts, stuck", [([2, 3], 0), ([3, 7], 6), ([7, 2], 6)]
+    "starts, stuck", [([2, 3], 0), ([3, 7], 6), ([7, 2], 6), ([2, 7], 0)]
 )
 def test_multiple_walk_names_the_stuck_walkers_vertex(kernel, starts, stuck):
+    # In ([2, 7], 0) walker 1 is stuck at step 1 and walker 0 at step 2.
     session = MultipleRandomWalk(2, backend="csr").start(
         triangle_and_dead_ends(), rng=1, initial_vertices=starts
     )
     with pytest.raises(ValueError, match=f"isolated vertex {stuck}"):
         session.advance(5)
+
+
+@pytest.mark.parametrize("with_block", [False, True])
+def test_batch_names_the_lowest_stuck_replicate(kernel, with_block):
+    """Replicate 1 (from 7) is stuck at step 1, before replicate 0 (from
+    2) is stuck at step 2; the error names replicate 0's vertex."""
+    graph = triangle_and_dead_ends()
+    rngs = [np.random.default_rng(seed) for seed in (0, 1)]
+    blocks = [_block(graph), _block(graph)] if with_block else None
+    with pytest.raises(ValueError, match="isolated vertex 0"):
+        vec.run_random_walk(graph, [[2], [7]], 5, rngs, blocks)
+    with pytest.raises(ValueError, match="isolated vertex 0"):
+        vec.run_random_walk(graph, [[2, 3], [7, 3]], 5, rngs, blocks)
+    with pytest.raises(ValueError, match="isolated vertex 0"):
+        vec.run_metropolis(graph, [2, 7], 5, rngs, blocks)
+
+
+@pytest.mark.parametrize("needs", [None, FusedNeeds(degree_counts=True)])
+def test_session_batch_names_the_lowest_stuck_replicate(kernel, needs):
+    graph = triangle_and_dead_ends()
+    sessions = [
+        MultipleRandomWalk(2, backend="csr").start(
+            graph, rng=seed, initial_vertices=starts
+        )
+        for seed, starts in enumerate(([3, 2], [7, 3]))
+    ]
+    with pytest.raises(ValueError, match="isolated vertex 0"):
+        record_checkpoints(sessions, "steps", [5], needs)
 
 
 def test_metropolis_walk(kernel):
