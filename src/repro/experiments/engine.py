@@ -15,7 +15,7 @@ and snapshot hooks — and :func:`run_plan` executes it:
   contiguous batches of at most 8, one kernel call per batch and
   checkpoint for the csr sessions;
 - **streaming estimation**: every checkpoint is one
-  ``SamplerSession.advance_into`` call, whose item — a
+  ``SamplerSession.advance_into`` step per replicate, whose item — a
   :class:`~repro.sampling.fused.FusedBlock` of eq. (7)/(9) counts
   folded by the walk kernels when the plan's accumulator (typically
   one of :mod:`repro.estimators.streaming`) declares ``fused_needs()``,

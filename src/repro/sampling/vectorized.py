@@ -370,8 +370,7 @@ def run_random_walk(
     uniforms = _draw_rows(rngs, positions.shape[1] * steps)
     if _native.available():
         records = _native.rw_steps_acc(
-            graph, positions, uniforms, positions.size * steps,
-            blocks,
+            graph, positions, uniforms, positions.size * steps, blocks
         )
         return _result(lone, positions.tolist(), records)
     degree_of, neighbor_at = _accessors(graph)
@@ -437,8 +436,7 @@ def run_frontier(
     uniforms = _draw_rows(rngs, steps if degree_selection else 2 * steps)
     if _native.available():
         records = _native.fs_steps_acc(
-            graph, positions, uniforms, len(rngs) * steps, degree_selection,
-            blocks,
+            graph, positions, uniforms, len(rngs) * steps, degree_selection, blocks
         )
         return _result(lone, positions.tolist(), records)
     degree_of, neighbor_at = _accessors(graph)
@@ -518,8 +516,7 @@ def run_metropolis(
     uniforms = _draw_rows(rngs, 2 * steps)
     if _native.available():
         records = _native.mh_steps_acc(
-            graph, positions, uniforms, positions.size * steps,
-            blocks,
+            graph, positions, uniforms, positions.size * steps, blocks
         )
         return _result(lone, positions.tolist(), records)
     degree_of, neighbor_at = _accessors(graph)
