@@ -492,8 +492,9 @@ def run_plan(
     seed.  Accumulation and snapshots always run in the parent
     process, in replicate order.
 
-    Inline, each method's replicates run in contiguous batches of at
-    most 8 through :func:`~repro.sampling.session.record_checkpoints`:
+    Inline, each method's CSR replicates run in contiguous batches of
+    at most 8 through :func:`~repro.sampling.session.record_checkpoints`
+    (every other sampler's, one at a time):
     the batch's sessions are opened first (a starter derives each
     replicate's stream from its index alone, so this changes no draw),
     then walk together, one kernel call per checkpoint.  Rows are
@@ -567,17 +568,19 @@ def run_plan(
                 # The pool workers' loop, run inline over contiguous
                 # batches of replicates that walk together: rows are
                 # produced lazily, so one batch's items are held at a
-                # time.
+                # time.  Sessions off the CSR cannot share a kernel
+                # call, so they open one at a time (a sharded FS
+                # session owns a worker pool while it is open).
                 substrate = get_csr(graph) if on_csr else graph
+                size = _REPLICATE_BATCH if on_csr else 1
                 rows = (
                     row
-                    for first in range(0, replicates, _REPLICATE_BATCH)
+                    for first in range(0, replicates, size)
                     for row in record_checkpoints(
                         [
                             starter(sampler, substrate, seed, index)
                             for index in range(
-                                first,
-                                min(first + _REPLICATE_BATCH, replicates),
+                                first, min(first + size, replicates)
                             )
                         ],
                         plan.schedule,

@@ -4,7 +4,8 @@
   ``steps`` argument (the 4th positional one) is the call's total.
 - ``run_plan`` walks a method's replicates in batches of at most 8:
   one kernel call per batch and checkpoint, whose ``steps`` is the
-  batch's total, and one ``sampler.start`` per replicate.
+  batch's total, and one ``sampler.start`` per replicate.  Sessions
+  that cannot share a kernel call open one at a time.
 - A walk reads ``REPRO_NO_NATIVE`` once per call, in the runner.
 - A ``CSRGraph`` binds its kernel pointers and walkable set once and
   keeps them, but pickles and copies carry none of its derived caches;
@@ -19,6 +20,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.experiments import engine
 from repro.experiments.engine import ExperimentPlan, run_plan
 from repro.generators.ba import barabasi_albert
 from repro.graph.csr import CSRGraph, get_csr
@@ -28,6 +30,7 @@ from repro.sampling.fused import FusedNeeds
 from repro.sampling.metropolis import MetropolisHastingsWalk
 from repro.sampling.multiple import MultipleRandomWalk
 from repro.sampling.session import load_session, record_checkpoints
+from repro.sampling.sharded import ShardedFrontierSampler
 from repro.sampling.single import SingleRandomWalk
 
 NATIVE = _native.available()
@@ -136,6 +139,30 @@ def test_one_kernel_call_per_batch_and_checkpoint(monkeypatch, graph, fused):
     assert calls["rw_steps_acc"] == [3 * n for n in per_batch] + per_batch
     assert starts == {name: 10 for name in samplers}
     assert all(run.steps_taken == [35] * 10 for run in result.methods.values())
+
+
+def test_only_csr_walks_open_in_batches(monkeypatch, graph):
+    """Sessions that cannot share a kernel call open one at a time."""
+    sizes = []
+    real = engine.record_checkpoints
+
+    def spy(sessions, *args):
+        sizes.append(len(sessions))
+        return real(sessions, *args)
+
+    monkeypatch.setattr(engine, "record_checkpoints", spy)
+    plan = ExperimentPlan(
+        title="batch sizes",
+        graph=graph,
+        samplers={
+            "dfs": ShardedFrontierSampler(3, procs=1),
+            "srw": SingleRandomWalk(backend="csr"),
+        },
+        budgets=[20],
+        backend="csr",
+    )
+    run_plan(plan, 10)
+    assert sizes == [1] * 10 + [8, 2]
 
 
 @needs_native
