@@ -162,20 +162,20 @@ def test_fs_session_overhead(benchmark, ba_graph, walker_seeds, save_result):
         session_trace.step_walkers == one_shot_trace.step_walkers
     ).all()
 
-    def best_of(repeats, fn):
-        timings = []
-        for _ in range(repeats):
-            started = time.perf_counter()
-            fn(ba_graph, walker_seeds)
-            timings.append(time.perf_counter() - started)
-        return min(timings)
-
     benchmark.pedantic(
         run_csr_session, args=(ba_graph, walker_seeds), rounds=3,
         iterations=1,
     )
-    one_shot_seconds = best_of(5, run_csr_backend)
-    session_seconds = best_of(5, run_csr_session)
+    # Alternate the two paths, best of 5 each, so a host slowdown
+    # lasting a few seconds lands on both sides, not on one.
+    timings = {run_csr_backend: [], run_csr_session: []}
+    for _ in range(5):
+        for fn, seconds in timings.items():
+            started = time.perf_counter()
+            fn(ba_graph, walker_seeds)
+            seconds.append(time.perf_counter() - started)
+    one_shot_seconds = min(timings[run_csr_backend])
+    session_seconds = min(timings[run_csr_session])
     overhead = session_seconds / one_shot_seconds
     chunks = -(-NUM_STEPS // SESSION_CHUNK)
     per_advance = max(0.0, session_seconds - one_shot_seconds) / chunks

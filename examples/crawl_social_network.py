@@ -23,6 +23,7 @@ from repro.estimators import (
     degree_ccdf_from_trace,
     vertex_label_densities_from_trace,
 )
+from repro.graph.labels import label_membership
 from repro.metrics import (
     nmse,
     true_degree_ccdf,
@@ -50,12 +51,14 @@ def main() -> None:
     }
 
     # Ground truth (available only because the network is synthetic).
-    truth_ccdf = true_degree_ccdf(graph, dataset.in_degree_of)
+    truth_ccdf = true_degree_ccdf(graph, dataset.in_degrees)
     groups = sorted(
         dataset.labels.all_labels(),
         key=lambda g: -dataset.labels.count_with_label(g),
     )[:5]
     truth_groups = true_group_densities(graph, dataset.labels, groups)
+    # One membership array per group, read once and shared by every crawl.
+    members = label_membership(dataset.labels, groups, graph.num_vertices)
     truth_r = true_undirected_assortativity(graph)
 
     print(f"\nbudget = {budget:.0f} queries,"
@@ -72,12 +75,12 @@ def main() -> None:
             trace = sampler.sample(graph, budget, child_rng(99, run))
             ccdf_estimates.append(
                 degree_ccdf_from_trace(
-                    graph, trace, dataset.in_degree_of
+                    graph, trace, dataset.in_degrees
                 ).get(10, 0.0)
             )
             group_estimates.append(
                 vertex_label_densities_from_trace(
-                    graph, trace, dataset.labels, groups
+                    graph, trace, members, groups
                 )[groups[0]]
             )
             r_estimates.append(assortativity_from_trace(graph, trace))

@@ -34,7 +34,7 @@ def main() -> None:
     dimension = 64
     budget = graph.num_vertices / 5
     runs = 25
-    truth = true_degree_ccdf(graph, dataset.in_degree_of)
+    truth = true_degree_ccdf(graph, dataset.in_degrees)
     probe_degrees = [d for d in (1, 3, 10, 30) if truth.get(d, 0) > 0]
 
     centralized = FrontierSampler(dimension)
@@ -50,12 +50,12 @@ def main() -> None:
             dfs_trace = distributed.sample(graph, budget, child_rng(2, run))
             fs_estimates.append(
                 degree_ccdf_from_trace(
-                    graph, fs_trace, dataset.in_degree_of
+                    graph, fs_trace, dataset.in_degrees
                 ).get(degree, 0.0)
             )
             dfs_estimates.append(
                 degree_ccdf_from_trace(
-                    graph, dfs_trace, dataset.in_degree_of
+                    graph, dfs_trace, dataset.in_degrees
                 ).get(degree, 0.0)
             )
         print(

@@ -16,9 +16,10 @@ experiment verifies empirically.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.graph.graph import Graph
+from repro.graph.labels import VertexLabel
 from repro.metrics.exact import true_degree_pmf
 
 
@@ -68,12 +69,13 @@ def predicted_crossover_degree(average_degree: float) -> float:
 def analytic_nmse_curves(
     graph: Graph,
     budget: float,
-    degree_of: Optional[Callable[[int], int]] = None,
+    degree_of: Optional[VertexLabel] = None,
 ) -> Tuple[Dict[int, float], Dict[int, float]]:
     """``(vertex_curve, edge_curve)`` over the graph's degree support.
 
-    The degree label defaults to the symmetric degree; the edge curve
-    uses the *label's* mean as ``d`` (the quantity eq. 3 is stated in).
+    The degree label (an array over vertex ids or a callable) defaults
+    to the symmetric degree; the edge curve uses the *label's* mean as
+    ``d`` (the quantity eq. 3 is stated in).
     Degrees with zero mass, and degree 0 for the edge curve (edges
     cannot sample isolated vertices), are omitted.
     """

@@ -17,7 +17,10 @@ tests use scale ~0.1.  Structural targets, per original dataset:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Optional
+
+import numpy as np
 
 from repro.generators.ba import barabasi_albert
 from repro.generators.composite import join_by_bridge
@@ -65,17 +68,27 @@ class Dataset:
         self.csr = get_csr(self.graph)
         return self.csr
 
-    def in_degree_of(self, vertex: int) -> int:
-        """In-degree label (directed datasets; falls back to degree)."""
+    @cached_property
+    def in_degrees(self) -> np.ndarray:
+        """In-degree label per vertex id (directed datasets; else degree)."""
         if self.digraph is not None:
-            return self.digraph.in_degree(vertex)
-        return self.graph.degree(vertex)
+            return np.asarray(self.digraph.in_degrees(), dtype=np.int64)
+        return np.asarray(self.graph.degrees(), dtype=np.int64)
+
+    @cached_property
+    def out_degrees(self) -> np.ndarray:
+        """Out-degree label per vertex id (directed datasets; else degree)."""
+        if self.digraph is not None:
+            return np.asarray(self.digraph.out_degrees(), dtype=np.int64)
+        return np.asarray(self.graph.degrees(), dtype=np.int64)
+
+    def in_degree_of(self, vertex: int) -> int:
+        """In-degree label of one vertex (an entry of :attr:`in_degrees`)."""
+        return int(self.in_degrees[vertex])
 
     def out_degree_of(self, vertex: int) -> int:
-        """Out-degree label (directed datasets; falls back to degree)."""
-        if self.digraph is not None:
-            return self.digraph.out_degree(vertex)
-        return self.graph.degree(vertex)
+        """Out-degree label of one vertex (an entry of :attr:`out_degrees`)."""
+        return int(self.out_degrees[vertex])
 
 
 def _social_dataset(

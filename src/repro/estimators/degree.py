@@ -13,26 +13,25 @@ raises :class:`ValueError` instead of losing its mass.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.estimators.streaming import StreamingDegreePMF
 from repro.graph.graph import Graph
+from repro.graph.labels import VertexLabel, vertex_label_array
 from repro.sampling.base import VertexTrace, WalkTrace
 from repro.util.stats import ccdf_from_pmf
-
-DegreeOf = Callable[[int], int]
 
 
 def degree_pmf_from_trace(
     graph: Graph,
     trace: WalkTrace,
-    degree_of: Optional[DegreeOf] = None,
+    degree_of: Optional[VertexLabel] = None,
 ) -> Dict[int, float]:
     """Estimate ``theta_i`` for every degree ``i`` via eq. (7).
 
-    ``degree_of`` maps a vertex to its degree *label* (defaults to the
-    symmetric walking degree).  The reweighting always uses the
-    symmetric degree — that is the visit bias, whatever the label.
+    ``degree_of`` is the degree *label*, an array over vertex ids or a
+    callable (default: the walking degree).  The reweighting always
+    uses the symmetric degree — that is the visit bias, whatever the label.
     """
     return StreamingDegreePMF(graph, degree_of).update(trace).estimate()
 
@@ -40,7 +39,7 @@ def degree_pmf_from_trace(
 def degree_ccdf_from_trace(
     graph: Graph,
     trace: WalkTrace,
-    degree_of: Optional[DegreeOf] = None,
+    degree_of: Optional[VertexLabel] = None,
 ) -> Dict[int, float]:
     """Estimated CCDF ``gamma_i = sum_{k > i} theta_k`` (eq. 2's target)."""
     return ccdf_from_pmf(degree_pmf_from_trace(graph, trace, degree_of))
@@ -48,21 +47,27 @@ def degree_ccdf_from_trace(
 
 def degree_pmf_from_vertices(
     vertices: Sequence[int],
-    degree_of: DegreeOf,
+    degree_of: VertexLabel,
 ) -> Dict[int, float]:
     """Empirical degree pmf from *uniform* vertex samples.
 
     The straightforward estimator of Section 3's random vertex
     sampling: each valid sample contributes ``1/n`` to its degree bin
-    (the vertex-sample mode of :class:`StreamingDegreePMF`).
+    (the vertex-sample mode of :class:`StreamingDegreePMF`).  A
+    callable ``degree_of`` is evaluated once per vertex id up to the
+    largest sample.
     """
     samples = VertexTrace("vertices", list(vertices), 0.0, 0.0)
+    if callable(degree_of):
+        degree_of = vertex_label_array(
+            degree_of, max(samples.vertices, default=-1) + 1
+        )
     return StreamingDegreePMF(None, degree_of).update(samples).estimate()
 
 
 def degree_ccdf_from_vertices(
     vertices: Sequence[int],
-    degree_of: DegreeOf,
+    degree_of: VertexLabel,
 ) -> Dict[int, float]:
     """Empirical CCDF from uniform vertex samples."""
     return ccdf_from_pmf(degree_pmf_from_vertices(vertices, degree_of))

@@ -33,20 +33,24 @@ from __future__ import annotations
 
 import abc
 import math
-from collections import OrderedDict
+from itertools import compress
 from typing import Callable, Dict, Hashable, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
-from repro.graph.labels import EdgeLabeling, VertexLabeling
+from repro.graph.csr import CSRGraph, get_csr
+from repro.graph.labels import (
+    EdgeLabeling,
+    VertexLabel,
+    label_membership,
+    vertex_label_array,
+)
 from repro.sampling.base import VertexTrace, WalkTrace
 from repro.sampling.fused import FusedBlock, FusedNeeds
 from repro.sampling.vectorized import ArrayWalkTrace
 from repro.util.stats import ccdf_from_pmf
 
 Label = Hashable
-DegreeOf = Callable[[int], int]
 EdgeFunction = Callable[[int, int], float]
 EdgePredicate = Callable[[int, int], bool]
 VertexFunction = Callable[[int], float]
@@ -57,41 +61,10 @@ _NO_SAMPLES = "no samples consumed (empty trace); cannot form the estimate"
 # ----------------------------------------------------------------------
 # graph lookups and count reductions
 # ----------------------------------------------------------------------
-#: Versions retained in each adjacency-list graph's degree-array LRU.
-#: Estimators that interleave a couple of graph snapshots (e.g. an
-#: evolving-graph sweep alternating between two versions) stay cached;
-#: a long mutate-estimate loop holds at most this many O(n) arrays
-#: instead of growing without bound.
-_DEGREE_CACHE_VERSIONS = 4
-
-
 def degrees_of(graph) -> np.ndarray:
-    """The degree sequence as an int64 array, cached per graph version.
-
-    :class:`CSRGraph` computes it as one ``diff``; for an
-    adjacency-list :class:`~repro.graph.graph.Graph` the converted
-    array is cached on the instance in a small per-version LRU (keyed
-    by its mutation counter, like the CSR cache) so repeated estimator
-    calls don't re-pay the list-to-array copy.  The LRU keeps the
-    :data:`_DEGREE_CACHE_VERSIONS` most recently used versions, so the
-    cache stays O(1) arrays even when the graph mutates between calls.
-    """
-    if isinstance(graph, CSRGraph):
-        return graph.degrees()
-    cache = getattr(graph, "_degree_array_cache", None)
-    if not isinstance(cache, OrderedDict):
-        cache = OrderedDict()
-        graph._degree_array_cache = cache
-    version = graph.version
-    array = cache.get(version)
-    if array is None:
-        array = np.asarray(graph.degrees(), dtype=np.int64)
-        cache[version] = array
-        while len(cache) > _DEGREE_CACHE_VERSIONS:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(version)
-    return array
+    """The degree sequence as an int64 array: one ``diff`` over the
+    graph's CSR, which :func:`get_csr` caches per mutation version."""
+    return get_csr(graph).degrees()
 
 
 def shared_neighbors(graph, u: int, v: int) -> int:
@@ -186,6 +159,10 @@ class StreamingEstimator(abc.ABC):
     def estimate(self):
         """The current estimate over everything consumed so far."""
 
+    #: Attributes of this version's state that earlier layouts lacked;
+    #: a pickle without them cannot be resumed.
+    _LAYOUT: Tuple[str, ...] = ()
+
     def __getstate__(self) -> dict:
         """Pickle running sums only — the graph is re-attached on load.
 
@@ -197,6 +174,15 @@ class StreamingEstimator(abc.ABC):
         if "graph" in state:
             state["graph"] = None
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        if not set(self._LAYOUT) <= state.keys():
+            raise ValueError(
+                f"this {type(self).__name__} was pickled by another version"
+                " of the code, which kept its state in a different layout;"
+                " it cannot be resumed, so start a new accumulator"
+            )
+        self.__dict__.update(state)
 
     def attach(self, graph) -> None:
         """Re-attach ``graph`` to an accumulator loaded from disk."""
@@ -290,7 +276,7 @@ class _EdgeCountEstimator(StreamingEstimator):
 # ----------------------------------------------------------------------
 # eq. (7): reweighted vertex accumulators
 # ----------------------------------------------------------------------
-class StreamingDegreePMF(StreamingEstimator):
+class StreamingDegreePMF(_VisitCountEstimator):
     """Degree-distribution accumulator (eq. (7) / plain counts).
 
     Fed walk-trace increments it runs the ``1/deg`` reweighted
@@ -298,15 +284,24 @@ class StreamingDegreePMF(StreamingEstimator):
     (uniform independent samples) it runs the plain empirical PMF.  The
     two laws cannot be mixed in one accumulator.
 
-    ``degree_of`` relabels what is histogrammed (in-/out-degree);
-    the reweighting always uses the symmetric walking degree.  Labels
-    must be non-negative (the estimate is dense on ``0 .. max``):
-    ``update`` raises :class:`ValueError` on a negative one.
+    ``degree_of`` relabels what is histogrammed (in-/out-degree): an
+    int64 array indexed by vertex id, or a callable evaluated once per
+    vertex here.  The reweighting always uses the symmetric walking
+    degree.  Unlabeled, a walk reduces to per-degree visit counts;
+    labeled, to per-vertex visit counts, each distinct vertex adding
+    ``count / deg`` to its label's bin.  Labels must be non-negative
+    (the estimate is dense on ``0 .. max``): ``update`` raises
+    :class:`ValueError` on a negative one.  ``graph`` may be ``None``
+    for vertex samples histogrammed by a label array.
     """
 
-    def __init__(self, graph, degree_of: Optional[DegreeOf] = None):
+    _LAYOUT = ("labels",)
+
+    def __init__(self, graph, degree_of: Optional[VertexLabel] = None):
         self.graph = graph
-        self.degree_of = degree_of
+        self.labels = vertex_label_array(
+            degree_of, None if graph is None else graph.num_vertices
+        )
         self._weighted: Dict[int, float] = {}
         self._normalizer = 0.0
         self._samples = 0
@@ -321,30 +316,22 @@ class StreamingDegreePMF(StreamingEstimator):
                 " one degree accumulator"
             )
 
+    def _fold(self, keys, values, normalizer: float, samples: int) -> None:
+        """Add ``values[i]`` to bin ``keys[i]`` of the running sums."""
+        for key, value in zip(keys.tolist(), values.tolist()):
+            self._weighted[key] = self._weighted.get(key, 0.0) + value
+        self._normalizer += normalizer
+        self._samples += samples
+
     def _update_array(self, trace) -> None:
         self._latch("walk")
-        targets = trace.step_targets
-        walking = degrees_of(self.graph)[targets]
-        if self.degree_of is None:
+        if self.labels is not None:
+            super()._update_array(trace)
+        else:
             # Same count-based reduction as the fused-block path, so
             # drained and fused runs stay bit-identical.
+            walking = degrees_of(self.graph)[trace.step_targets]
             self._absorb_degree_counts(np.bincount(walking))
-            return
-        inv_deg = 1.0 / walking
-        unique, inverse = np.unique(targets, return_inverse=True)
-        mapped = np.fromiter(
-            (self.degree_of(v) for v in unique.tolist()),
-            dtype=np.int64,
-            count=unique.size,
-        )
-        _check_degree_label(int(mapped.min()))
-        histogram = np.bincount(mapped[inverse], weights=inv_deg)
-        for key in np.flatnonzero(histogram).tolist():
-            self._weighted[key] = self._weighted.get(key, 0.0) + float(
-                histogram[key]
-            )
-        self._normalizer += float(inv_deg.sum())
-        self._samples += int(targets.size)
 
     def _absorb_degree_counts(self, counts: np.ndarray) -> None:
         """Fold exact per-degree visit counts into the running sums."""
@@ -352,35 +339,44 @@ class StreamingDegreePMF(StreamingEstimator):
         weighted = counts[degrees].astype(np.float64) / degrees.astype(
             np.float64
         )
-        for key, value in zip(degrees.tolist(), weighted.tolist()):
-            self._weighted[key] = self._weighted.get(key, 0.0) + value
-        self._normalizer += float(weighted.sum())
-        self._samples += int(counts.sum())
+        self._fold(degrees, weighted, float(weighted.sum()), int(counts.sum()))
+
+    def _absorb_visit_counts(
+        self, vertices: np.ndarray, counts: np.ndarray
+    ) -> None:
+        """Each distinct vertex adds ``count / deg`` to its label's bin."""
+        keys = self.labels[vertices]
+        _check_degree_label(int(keys.min()))
+        weights = self._weights(vertices, counts)
+        histogram = np.bincount(keys, weights=weights)
+        bins = np.flatnonzero(histogram)
+        self._fold(
+            bins, histogram[bins], float(weights.sum()), int(counts.sum())
+        )
 
     def fused_needs(self) -> Optional[FusedNeeds]:
-        """Degree counts suffice — unless ``degree_of`` relabels.
-
-        A custom ``degree_of`` histograms a function of the *vertex*,
-        which a per-degree count cannot reconstruct, so that
-        configuration stays on the drain path.
-        """
-        if self.degree_of is not None:
-            return None
+        """Per-degree counts — or per-vertex visit counts when
+        ``degree_of`` relabels, since the label is a function of the
+        vertex that a per-degree count cannot reconstruct."""
+        if self.labels is not None:
+            return super().fused_needs()
         return FusedNeeds(degree_counts=True)
 
     def _absorb_block(self, block: FusedBlock) -> None:
         self._latch("walk")
-        assert block.deg_counts is not None
-        self._absorb_degree_counts(block.deg_counts)
+        if self.labels is not None:
+            super()._absorb_block(block)
+        else:
+            self._absorb_degree_counts(block.deg_counts)
 
     def _update_list(self, trace: WalkTrace) -> None:
         self._latch("walk")
-        graph = self.graph
-        label = self.degree_of if self.degree_of is not None else graph.degree
+        graph, labels = self.graph, self.labels
         for _, v in trace.edges:
-            inv_deg = 1.0 / graph.degree(v)
+            degree = graph.degree(v)
+            inv_deg = 1.0 / degree
             self._normalizer += inv_deg
-            key = label(v)
+            key = degree if labels is None else int(labels[v])
             self._weighted[key] = self._weighted.get(key, 0.0) + inv_deg
             self._samples += 1
         _check_degree_label(min(self._weighted))
@@ -389,21 +385,13 @@ class StreamingDegreePMF(StreamingEstimator):
         if not trace.vertices:
             return
         self._latch("vertex")
-        if self.degree_of is None:
-            # Integer counts per degree: each sum of 1.0s is exact, so
-            # this equals the per-sample loop below.
-            counts = np.bincount(degrees_of(self.graph)[trace.vertices])
-            for key in np.flatnonzero(counts).tolist():
-                self._weighted[key] = self._weighted.get(key, 0.0) + float(
-                    counts[key]
-                )
-            self._samples += len(trace.vertices)
-            return
-        for v in trace.vertices:
-            key = self.degree_of(v)
-            self._weighted[key] = self._weighted.get(key, 0.0) + 1.0
-            self._samples += 1
-        _check_degree_label(min(self._weighted))
+        # Integer counts per label: exact, like adding 1.0 per sample.
+        labels = degrees_of(self.graph) if self.labels is None else self.labels
+        keys = labels[trace.vertices]
+        _check_degree_label(int(keys.min()))
+        counts = np.bincount(keys)
+        bins = np.flatnonzero(counts)
+        self._fold(bins, counts[bins].astype(np.float64), 0.0, keys.size)
 
     def estimate(self) -> Dict[int, float]:
         """Dense PMF over ``0 .. max_observed`` (the batch dict shape)."""
@@ -510,17 +498,19 @@ class StreamingAverageDegree(StreamingEstimator):
 
 
 class StreamingVertexDensity(_VisitCountEstimator):
-    """Eq. (7) label-density accumulator sharing one normalizer ``S``."""
+    """Eq. (7) label-density accumulator sharing one normalizer ``S``.
 
-    def __init__(
-        self, graph, labeling: VertexLabeling, labels: Iterable[Label]
-    ):
+    ``labeling`` is a :class:`~repro.graph.labels.VertexLabeling`, read
+    once here into one boolean membership array per wanted label, or a
+    mapping from label to such an array over vertex ids.
+    """
+
+    _LAYOUT = ("members",)
+
+    def __init__(self, graph, labeling, labels: Iterable[Label]):
         self.graph = graph
-        self.labeling = labeling
-        self.labels = list(labels)
-        self._weighted: Dict[Label, float] = {
-            label: 0.0 for label in self.labels
-        }
+        self.members = label_membership(labeling, labels, graph.num_vertices)
+        self._weighted: Dict[Label, float] = dict.fromkeys(self.members, 0.0)
         self._normalizer = 0.0
 
     def _absorb_visit_counts(
@@ -530,30 +520,27 @@ class StreamingVertexDensity(_VisitCountEstimator):
         operation, once per label it carries."""
         weights = self._weights(vertices, counts)
         self._normalizer += float(weights.sum())
-        label_sets = [self.labeling.labels_of(int(v)) for v in vertices]
-        for label in self.labels:
-            indicator = np.fromiter(
-                (label in labels_of_v for labels_of_v in label_sets),
-                dtype=np.float64,
-                count=vertices.size,
-            )
-            self._weighted[label] += float((indicator * weights).sum())
+        for label, member in self.members.items():
+            self._weighted[label] += float((member[vertices] * weights).sum())
 
     def _update_list(self, trace: WalkTrace) -> None:
-        graph, wanted = self.graph, set(self.labels)
-        for _, v in trace.edges:
-            inv_deg = 1.0 / graph.degree(v)
+        graph = self.graph
+        targets = [v for _, v in trace.edges]
+        inverse = [1.0 / graph.degree(v) for v in targets]
+        for inv_deg in inverse:
             self._normalizer += inv_deg
-            for label in self.labeling.labels_of(v):
-                if label in wanted:
-                    self._weighted[label] += inv_deg
+        # Each sum still adds its steps one at a time, in step order.
+        visits = np.asarray(targets, dtype=np.int64)
+        for label, member in self.members.items():
+            for inv_deg in compress(inverse, member[visits].tolist()):
+                self._weighted[label] += inv_deg
 
     def estimate(self) -> Dict[Label, float]:
         if self._normalizer == 0.0:
             raise ValueError(_NO_SAMPLES)
         return {
-            label: self._weighted[label] / self._normalizer
-            for label in self.labels
+            label: weighted / self._normalizer
+            for label, weighted in self._weighted.items()
         }
 
 
@@ -813,6 +800,8 @@ class StreamingGraphSize(_VisitCountEstimator):
     and an estimate costs O(1).
     """
 
+    _LAYOUT = ("_counts", "_collisions")
+
     def __init__(self, graph):
         self.graph = graph
         self._inverse_sum = 0.0
@@ -820,15 +809,6 @@ class StreamingGraphSize(_VisitCountEstimator):
         self._samples = 0
         self._counts = np.zeros(graph.num_vertices, dtype=np.int64)
         self._collisions = 0
-
-    def __setstate__(self, state: dict) -> None:
-        if not {"_counts", "_collisions"} <= state.keys():
-            raise ValueError(
-                "this StreamingGraphSize was pickled by another version of"
-                " the code, which kept its visits in a different layout;"
-                " it cannot be resumed, so start a new accumulator"
-            )
-        self.__dict__.update(state)
 
     def _absorb_visit_counts(
         self, vertices: np.ndarray, counts: np.ndarray

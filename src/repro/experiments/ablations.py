@@ -36,6 +36,7 @@ from repro.estimators.degree import (
     degree_pmf_from_trace,
     degree_pmf_from_vertices,
 )
+from repro.estimators.streaming import degrees_of
 from repro.metrics.errors import nmse
 from repro.metrics.exact import true_degree_pmf
 from repro.sampling.base import Backend
@@ -167,6 +168,7 @@ def metropolis_vs_rw(
     lcc, _ = largest_connected_component(dataset.graph)
     budget = lcc.num_vertices / 2.5
     truth = true_degree_pmf(lcc)
+    degrees = degrees_of(lcc)
     probe = [
         k for k, v in sorted(truth.items(), key=lambda kv: -kv[1])[:8] if v > 0
     ]
@@ -175,7 +177,7 @@ def metropolis_vs_rw(
     def snapshot(method: str, collector, checkpoint: float) -> List[float]:
         trace = collector.trace()
         if method == mh_name:
-            pmf = degree_pmf_from_vertices(trace.visited, lcc.degree)
+            pmf = degree_pmf_from_vertices(trace.visited, degrees)
         else:
             pmf = degree_pmf_from_trace(lcc, trace)
         return [pmf.get(k, 0.0) for k in probe]
@@ -314,7 +316,7 @@ def fs_vs_distributed(
         budget=budget,
         runs=runs,
         root_seed=root_seed,
-        degree_of=dataset.in_degree_of,
+        degree_of=dataset.in_degrees,
         metric="ccdf",
         title="fs vs dfs",
         backend=backend,

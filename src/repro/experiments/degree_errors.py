@@ -9,17 +9,16 @@ aggregates per-degree errors against the exact distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.estimators.degree import degree_ccdf_from_trace, degree_pmf_from_trace
 from repro.estimators.streaming import StreamingDegreePMF
 from repro.experiments.engine import ExperimentPlan, run_plan
 from repro.graph.graph import Graph
+from repro.graph.labels import VertexLabel, vertex_label_array
 from repro.metrics.errors import nmse_curve
 from repro.metrics.exact import true_degree_ccdf, true_degree_pmf
 from repro.sampling.base import Backend, Sampler
-
-DegreeOf = Callable[[int], int]
 
 
 @dataclass
@@ -91,7 +90,7 @@ def _estimate(
     graph: Graph,
     trace,
     metric: str,
-    degree_of: Optional[DegreeOf],
+    degree_of: Optional[VertexLabel],
 ) -> Mapping[int, float]:
     """The batch estimator of ``metric`` over one whole trace.
 
@@ -106,55 +105,13 @@ def _estimate(
     return degree_pmf_from_trace(graph, trace, degree_of)
 
 
-def degree_error_plan(
-    graph: Graph,
-    samplers: Mapping[str, Sampler],
-    budgets: Sequence[float],
-    root_seed: int = 0,
-    degree_of: Optional[DegreeOf] = None,
-    metric: str = "ccdf",
-    title: str = "degree error plan",
-    backend: Optional[Backend] = None,
-) -> ExperimentPlan:
-    """The degree-error computation as an :class:`ExperimentPlan`.
-
-    One :class:`StreamingDegreePMF` accumulator per replicate, drained
-    at every budget checkpoint; the snapshot is the CCDF (CNMSE
-    figures) or PMF (NMSE figures) estimate, with an empty/degenerate
-    trace estimating zero mass everywhere — the estimator had its
-    chance and produced nothing, which is an error, not a skip.
-    """
-    if metric not in ("ccdf", "pmf"):
-        raise ValueError(f"metric must be 'ccdf' or 'pmf', got {metric!r}")
-
-    def accumulator(method: str) -> StreamingDegreePMF:
-        return StreamingDegreePMF(graph, degree_of)
-
-    def snapshot(method: str, acc: StreamingDegreePMF, budget: float):
-        try:
-            return acc.ccdf() if metric == "ccdf" else acc.estimate()
-        except ValueError:
-            return {}  # empty trace estimates zero mass
-
-    return ExperimentPlan(
-        title=title,
-        graph=graph,
-        samplers=samplers,
-        budgets=list(budgets),
-        accumulator=accumulator,
-        snapshot=snapshot,
-        root_seed=root_seed,
-        backend=backend,
-    )
-
-
 def degree_error_experiment(
     graph: Graph,
     samplers: Mapping[str, Sampler],
     budget: float,
     runs: int,
     root_seed: int = 0,
-    degree_of: Optional[DegreeOf] = None,
+    degree_of: Optional[VertexLabel] = None,
     metric: str = "ccdf",
     title: str = "degree error experiment",
     backend: Optional[Backend] = None,
@@ -182,36 +139,23 @@ def degree_error_experiment(
     ``procs`` fans the replicates of each pool-capable sampler across
     that many worker processes over shared CSR buffers (see
     :func:`~repro.experiments.engine.run_plan`); results are
-    bit-identical for every ``procs`` value at a fixed seed.
+    bit-identical for every ``procs`` value at a fixed seed.  The
+    experiment is the one-budget :func:`degree_error_budget_sweep`.
     """
-    truth = (
-        true_degree_ccdf(graph, degree_of)
-        if metric == "ccdf"
-        else true_degree_pmf(graph, degree_of)
-    )
-    result = DegreeErrorResult(
-        title=title,
-        metric=metric,
-        budget=budget,
-        runs=runs,
-        truth=dict(truth),
-        average_degree=graph.average_degree(),
-    )
-    plan = degree_error_plan(
+    result = degree_error_budget_sweep(
         graph,
         samplers,
-        [float(budget)],
+        [budget],
+        runs,
         root_seed=root_seed,
         degree_of=degree_of,
         metric=metric,
         title=title,
         backend=backend,
-    )
-    outcome = run_plan(plan, runs, procs=procs, executor=executor)
-    for method in outcome.methods:
-        result.curves[method] = nmse_curve(
-            outcome.measurements(method), truth
-        )
+        procs=procs,
+        executor=executor,
+    ).at(budget)
+    result.title = title
     return result
 
 
@@ -268,7 +212,7 @@ def degree_error_budget_sweep(
     budgets: Sequence[float],
     runs: int,
     root_seed: int = 0,
-    degree_of: Optional[DegreeOf] = None,
+    degree_of: Optional[VertexLabel] = None,
     metric: str = "ccdf",
     title: str = "degree error budget sweep",
     backend: Optional[Backend] = None,
@@ -287,6 +231,8 @@ def degree_error_budget_sweep(
     replicates across worker processes (procs-invariant results; see
     :func:`~repro.experiments.engine.run_plan`);
     ``result.steps_walked`` records the single-walk receipt.
+    ``degree_of`` (an array over vertex ids or a callable) becomes one
+    label array, shared by the truth and every replicate.
     """
     checkpoints = [float(b) for b in budgets]
     if not checkpoints or any(
@@ -295,6 +241,9 @@ def degree_error_budget_sweep(
         raise ValueError(
             f"budgets must be a non-empty ascending sequence, got {budgets}"
         )
+    if metric not in ("ccdf", "pmf"):
+        raise ValueError(f"metric must be 'ccdf' or 'pmf', got {metric!r}")
+    degree_of = vertex_label_array(degree_of, graph.num_vertices)
     truth = (
         true_degree_ccdf(graph, degree_of)
         if metric == "ccdf"
@@ -312,14 +261,24 @@ def degree_error_budget_sweep(
             truth=dict(truth),
             average_degree=graph.average_degree(),
         )
-    plan = degree_error_plan(
-        graph,
-        samplers,
-        checkpoints,
-        root_seed=root_seed,
-        degree_of=degree_of,
-        metric=metric,
+
+    def accumulator(method: str) -> StreamingDegreePMF:
+        return StreamingDegreePMF(graph, degree_of)
+
+    def snapshot(method: str, acc: StreamingDegreePMF, budget: float):
+        try:
+            return acc.ccdf() if metric == "ccdf" else acc.estimate()
+        except ValueError:
+            return {}  # empty trace estimates zero mass
+
+    plan = ExperimentPlan(
         title=title,
+        graph=graph,
+        samplers=samplers,
+        budgets=checkpoints,
+        accumulator=accumulator,
+        snapshot=snapshot,
+        root_seed=root_seed,
         backend=backend,
     )
     outcome = run_plan(plan, runs, procs=procs, executor=executor)

@@ -13,7 +13,9 @@ drivers at smaller scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.analysis.vertex_vs_edge import analytic_nmse_curves
 from repro.datasets.registry import Dataset, flickr_like, gab, livejournal_like
@@ -32,6 +34,7 @@ from repro.experiments.engine import (
 from repro.experiments.render import format_float, render_table
 from repro.experiments.samplepaths import SamplePathResult, sample_paths
 from repro.graph.components import largest_connected_component
+from repro.graph.labels import VertexLabel, label_membership
 from repro.metrics.errors import nmse
 from repro.metrics.exact import (
     true_degree_ccdf,
@@ -43,8 +46,6 @@ from repro.sampling.frontier import FrontierSampler
 from repro.sampling.independent import RandomEdgeSampler, RandomVertexSampler
 from repro.sampling.multiple import MultipleRandomWalk
 from repro.sampling.single import SingleRandomWalk
-
-DegreeOf = Callable[[int], int]
 
 #: ``budgets`` accepted by the budget-style figures (4, 8, 12):
 #: ``None`` reproduces the paper's single-budget error figure, an int
@@ -62,17 +63,26 @@ def _budget_schedule(budgets: BudgetsArg, final_budget: float):
     return list(budgets)
 
 
-def _lcc_with_labels(
-    dataset: Dataset, degree_of: DegreeOf
-) -> tuple:
-    """LCC of a dataset plus the degree label remapped to LCC ids."""
+def _degree_errors(
+    graph, samplers, budget: float, budgets: BudgetsArg, titles, **options
+) -> Union[DegreeErrorResult, BudgetSweepResult]:
+    """The error result at ``budget``, or the budget sweep ``budgets``
+    asks for; ``titles`` is the pair (result title, sweep title)."""
+    schedule = _budget_schedule(budgets, budget)
+    if schedule is None:
+        return degree_error_experiment(
+            graph, samplers, budget=budget, title=titles[0], **options
+        )
+    return degree_error_budget_sweep(
+        graph, samplers, schedule, title=titles[1], **options
+    )
+
+
+def _lcc_with_labels(dataset: Dataset, labels: np.ndarray) -> tuple:
+    """LCC of a dataset plus the label array indexed by LCC ids."""
     lcc, old_to_new = largest_connected_component(dataset.graph)
-    new_to_old = {new: old for old, new in old_to_new.items()}
-
-    def lcc_degree_of(v: int) -> int:
-        return degree_of(new_to_old[v])
-
-    return lcc, lcc_degree_of
+    # The LCC numbers its vertices densely in the order of their old ids.
+    return lcc, labels[sorted(old_to_new)]
 
 
 # ----------------------------------------------------------------------
@@ -103,7 +113,7 @@ def fig1(
         budget=budget,
         runs=runs,
         root_seed=root_seed,
-        degree_of=dataset.in_degree_of,
+        degree_of=dataset.in_degrees,
         metric="ccdf",
         title="Figure 1 — in-degree CNMSE on flickr-like, B=|V|/2.5",
         backend=backend,
@@ -155,7 +165,7 @@ def fig3(scale: float = 1.0) -> CcdfFigure:
     dataset = _descriptive_dataset(title, lambda: flickr_like(scale))
     return CcdfFigure(
         title=title,
-        ccdf=true_degree_ccdf(dataset.graph, dataset.in_degree_of),
+        ccdf=true_degree_ccdf(dataset.graph, dataset.in_degrees),
     )
 
 
@@ -165,7 +175,7 @@ def fig7(scale: float = 1.0) -> CcdfFigure:
     dataset = _descriptive_dataset(title, lambda: livejournal_like(scale))
     return CcdfFigure(
         title=title,
-        ccdf=true_degree_ccdf(dataset.graph, dataset.out_degree_of),
+        ccdf=true_degree_ccdf(dataset.graph, dataset.out_degrees),
     )
 
 
@@ -198,33 +208,18 @@ def fig4(
     once instead of re-sampling every budget point.
     """
     dataset = flickr_like(scale)
-    lcc, degree_of = _lcc_with_labels(dataset, dataset.in_degree_of)
-    budget = lcc.num_vertices / 2.5
-    schedule = _budget_schedule(budgets, budget)
-    if schedule is not None:
-        return degree_error_budget_sweep(
-            lcc,
-            _fs_single_multiple(dimension),
-            schedule,
-            runs,
-            root_seed=root_seed,
-            degree_of=degree_of,
-            metric="ccdf",
-            title="Figure 4 — in-degree CNMSE on flickr-like LCC"
-            " (budget sweep)",
-            backend=backend,
-            procs=procs,
-            executor=executor,
-        )
-    return degree_error_experiment(
+    lcc, degree_of = _lcc_with_labels(dataset, dataset.in_degrees)
+    title = "Figure 4 — in-degree CNMSE on flickr-like LCC"
+    return _degree_errors(
         lcc,
         _fs_single_multiple(dimension),
-        budget=budget,
+        lcc.num_vertices / 2.5,
+        budgets,
+        (title, f"{title} (budget sweep)"),
         runs=runs,
         root_seed=root_seed,
         degree_of=degree_of,
         metric="ccdf",
-        title="Figure 4 — in-degree CNMSE on flickr-like LCC",
         backend=backend,
         procs=procs,
         executor=executor,
@@ -250,7 +245,7 @@ def fig5(
         budget=budget,
         runs=runs,
         root_seed=root_seed,
-        degree_of=dataset.in_degree_of,
+        degree_of=dataset.in_degrees,
         metric="ccdf",
         title="Figure 5 — in-degree CNMSE on full flickr-like",
         backend=backend,
@@ -274,7 +269,7 @@ def fig6(
     """Trajectories of theta_hat_1 (fraction of in-degree-1 vertices)
     on the full Flickr stand-in."""
     dataset = flickr_like(scale)
-    pmf = true_degree_pmf(dataset.graph, dataset.in_degree_of)
+    pmf = true_degree_pmf(dataset.graph, dataset.in_degrees)
     target = 1
     total_steps = max(1000, dataset.graph.num_vertices)
     return sample_paths(
@@ -285,7 +280,7 @@ def fig6(
         total_steps=total_steps,
         num_paths=num_paths,
         root_seed=root_seed,
-        degree_of=dataset.in_degree_of,
+        degree_of=dataset.in_degrees,
         title="Figure 6 — sample paths of theta_hat_1 on flickr-like",
         backend=backend,
         procs=procs,
@@ -341,32 +336,17 @@ def fig8(
     error-versus-budget sweep (see :func:`fig4`).
     """
     dataset = livejournal_like(scale)
-    budget = dataset.graph.num_vertices / 10
-    schedule = _budget_schedule(budgets, budget)
-    if schedule is not None:
-        return degree_error_budget_sweep(
-            dataset.graph,
-            _fs_single_multiple(dimension),
-            schedule,
-            runs,
-            root_seed=root_seed,
-            degree_of=dataset.out_degree_of,
-            metric="ccdf",
-            title="Figure 8 — out-degree CNMSE on livejournal-like"
-            " (budget sweep)",
-            backend=backend,
-            procs=procs,
-            executor=executor,
-        )
-    return degree_error_experiment(
+    title = "Figure 8 — out-degree CNMSE on livejournal-like"
+    return _degree_errors(
         dataset.graph,
         _fs_single_multiple(dimension),
-        budget=budget,
+        dataset.graph.num_vertices / 10,
+        budgets,
+        (title, f"{title} (budget sweep)"),
         runs=runs,
         root_seed=root_seed,
-        degree_of=dataset.out_degree_of,
+        degree_of=dataset.out_degrees,
         metric="ccdf",
-        title="Figure 8 — out-degree CNMSE on livejournal-like",
         backend=backend,
         procs=procs,
         executor=executor,
@@ -426,7 +406,7 @@ def fig11(
         budget=budget,
         runs=runs,
         root_seed=root_seed,
-        degree_of=dataset.in_degree_of,
+        degree_of=dataset.in_degrees,
         metric="ccdf",
         title="Figure 11 — in-degree CNMSE, baselines seeded in steady"
         " state (flickr-like)",
@@ -440,7 +420,7 @@ def fig11(
 # Figures 12, 13 — FS vs independent vertex/edge sampling
 # ----------------------------------------------------------------------
 def _fig12_analytic_overlays(
-    result: DegreeErrorResult, graph, budget: float, degree_of: DegreeOf
+    result: DegreeErrorResult, graph, budget: float, degree_of: VertexLabel
 ) -> None:
     """Attach the eq. (3)/(4) analytic overlays, at the same
     *effective* sample counts the simulated methods obtained."""
@@ -478,48 +458,31 @@ def fig12(
         "RandomVertex": RandomVertexSampler(hit_ratio=1.0),
         f"FS(m={dimension})": FrontierSampler(dimension),
     }
-    schedule = _budget_schedule(budgets, budget)
-    if schedule is not None:
-        sweep = degree_error_budget_sweep(
-            dataset.graph,
-            samplers,
-            schedule,
-            runs,
-            root_seed=root_seed,
-            degree_of=dataset.in_degree_of,
-            metric="pmf",
-            title="Figure 12 — in-degree NMSE, 100% hit ratio"
-            " (flickr-like, budget sweep)",
-            backend=backend,
-            procs=procs,
-            executor=executor,
-        )
-        if include_analytic:
-            for checkpoint, point_result in sweep.results.items():
-                _fig12_analytic_overlays(
-                    point_result,
-                    dataset.graph,
-                    checkpoint,
-                    dataset.in_degree_of,
-                )
-        return sweep
-    result = degree_error_experiment(
+    result = _degree_errors(
         dataset.graph,
         samplers,
-        budget=budget,
+        budget,
+        budgets,
+        (
+            "Figure 12 — in-degree NMSE, 100% hit ratio (flickr-like)",
+            "Figure 12 — in-degree NMSE, 100% hit ratio"
+            " (flickr-like, budget sweep)",
+        ),
         runs=runs,
         root_seed=root_seed,
-        degree_of=dataset.in_degree_of,
+        degree_of=dataset.in_degrees,
         metric="pmf",
-        title="Figure 12 — in-degree NMSE, 100% hit ratio (flickr-like)",
         backend=backend,
         procs=procs,
         executor=executor,
     )
     if include_analytic:
-        _fig12_analytic_overlays(
-            result, dataset.graph, budget, dataset.in_degree_of
-        )
+        swept = isinstance(result, BudgetSweepResult)
+        points = result.results if swept else {budget: result}
+        for checkpoint, point_result in points.items():
+            _fig12_analytic_overlays(
+                point_result, dataset.graph, checkpoint, dataset.in_degrees
+            )
     return result
 
 
@@ -562,7 +525,7 @@ def fig13(
         budget=budget,
         runs=runs,
         root_seed=root_seed,
-        degree_of=dataset.in_degree_of,
+        degree_of=dataset.in_degrees,
         metric="ccdf",
         title="Figure 13 — in-degree CNMSE under sparse id space"
         " (livejournal-like)",
@@ -647,8 +610,10 @@ def fig14(
         f"MultipleRW(m={dimension})": MultipleRandomWalk(dimension),
     }
 
+    membership = label_membership(labels, scored_groups, graph.num_vertices)
+
     def accumulator(method: str) -> StreamingVertexDensity:
-        return StreamingVertexDensity(graph, labels, scored_groups)
+        return StreamingVertexDensity(graph, membership, scored_groups)
 
     def snapshot(method: str, acc: StreamingVertexDensity, checkpoint: float):
         return acc.estimate()

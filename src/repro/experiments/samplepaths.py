@@ -19,17 +19,16 @@ in-process run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.engine import ExperimentPlan, run_plan
 from repro.graph.graph import Graph
+from repro.graph.labels import VertexLabel, vertex_label_array
 from repro.sampling.base import Backend, Edge, uniform_seeds
 from repro.sampling.frontier import FrontierSampler
 from repro.sampling.multiple import MultipleRandomWalk
 from repro.sampling.single import SingleRandomWalk
 from repro.util.rng import child_rng
-
-DegreeOf = Callable[[int], int]
 
 
 @dataclass
@@ -70,7 +69,7 @@ def _prefix_estimates(
     graph: Graph,
     edges: Sequence[Edge],
     target_degree: int,
-    degree_of: DegreeOf,
+    labels: Sequence[int],
     checkpoints: Sequence[int],
 ) -> List[float]:
     """theta_hat(target) after each checkpoint prefix of ``edges``."""
@@ -83,7 +82,7 @@ def _prefix_estimates(
             _, v = edges[position]
             inv_deg = 1.0 / graph.degree(v)
             normalizer += inv_deg
-            if degree_of(v) == target_degree:
+            if labels[v] == target_degree:
                 weighted += inv_deg
             position += 1
         values.append(weighted / normalizer if normalizer > 0 else 0.0)
@@ -160,7 +159,7 @@ def sample_paths(
     total_steps: int,
     num_paths: int = 4,
     root_seed: int = 0,
-    degree_of: Optional[DegreeOf] = None,
+    degree_of: Optional[VertexLabel] = None,
     checkpoints: Optional[Sequence[int]] = None,
     title: str = "sample paths",
     backend: Optional[Backend] = None,
@@ -177,7 +176,8 @@ def sample_paths(
     simultaneous progress.  One engine replicate per path; ``procs``
     fans paths across worker processes bit-identically.
     """
-    label = degree_of if degree_of is not None else graph.degree
+    labels = graph.degrees() if degree_of is None else degree_of
+    label = vertex_label_array(labels, graph.num_vertices).tolist()
     marks = list(checkpoints) if checkpoints else default_checkpoints(total_steps)
     samplers = {
         "FS": FrontierSampler(dimension),

@@ -5,14 +5,62 @@ Each vertex/edge carries a *set* of labels; unlabeled items simply have
 an empty set.  The estimators only ever ask two questions: "does this
 vertex/edge carry label ``l``?" and "does it carry any label at all?",
 so the store is a thin mapping with those operations made explicit.
+The vertex estimators read them as arrays over vertex ids, built once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 Label = Hashable
 Edge = Tuple[int, int]
+#: A degree label: an int array indexed by vertex id, or a callable.
+VertexLabel = Union[np.ndarray, Sequence[int], Callable[[int], int]]
+
+
+def _per_vertex(array: np.ndarray, num_vertices: Optional[int], what: str):
+    if array.ndim != 1 or num_vertices not in (None, array.size):
+        raise ValueError(
+            f"{what} needs one entry per vertex ({num_vertices}),"
+            f" got shape {array.shape}"
+        )
+    return array
+
+
+def vertex_label_array(
+    label: Optional[VertexLabel], num_vertices: Optional[int]
+) -> Optional[np.ndarray]:
+    """``label`` as an int64 array indexed by vertex id.
+
+    A callable is evaluated once per vertex, in id order, so it needs
+    ``num_vertices``.  An array must hold one entry per vertex (any
+    number when ``num_vertices`` is ``None``); an int64 array is
+    returned as is.  ``None`` (no relabeling: the walking degree) stays
+    ``None``.
+    """
+    if label is None:
+        return None
+    if callable(label):
+        if num_vertices is None:
+            raise TypeError("a callable label needs the vertex count")
+        values = (label(v) for v in range(num_vertices))
+        return np.fromiter(values, dtype=np.int64, count=num_vertices)
+    array = np.asarray(label, dtype=np.int64)
+    return _per_vertex(array, num_vertices, "a vertex label array")
 
 
 class VertexLabeling:
@@ -99,3 +147,34 @@ class EdgeLabeling:
 
     def __len__(self) -> int:
         return sum(1 for labels in self._labels.values() if labels)
+
+
+def label_membership(
+    labeling: Union[VertexLabeling, Mapping[Label, np.ndarray]],
+    labels: Iterable[Label],
+    num_vertices: int,
+) -> Dict[Label, np.ndarray]:
+    """A boolean array over vertex ids per wanted label, marking the
+    vertices that carry it.
+
+    ``labeling`` is a :class:`VertexLabeling`, read once over its
+    labeled vertices, or a mapping from label to such an array, used as
+    is; a label the mapping lacks marks no vertex.
+    """
+    absent = np.zeros(num_vertices, dtype=bool)
+    if not isinstance(labeling, VertexLabeling):
+        return {
+            label: _per_vertex(
+                np.asarray(labeling.get(label, absent), dtype=bool),
+                num_vertices,
+                f"the membership array of {label!r}",
+            )
+            for label in labels
+        }
+    members = {label: absent.copy() for label in labels}
+    for v, carried in labeling._labels.items():
+        for label in carried:
+            member = members.get(label)
+            if member is not None:
+                member[v] = True
+    return members

@@ -6,7 +6,7 @@ functions mirror the definitions in Sections 2–4 of the paper.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Optional, Union
+from typing import Dict, Hashable, Iterable, Optional, Union
 
 from repro.estimators.clustering import shared_neighbors
 from repro.estimators.streaming import (
@@ -17,22 +17,22 @@ from repro.estimators.streaming import (
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph
-from repro.graph.labels import VertexLabeling
+from repro.graph.labels import VertexLabel, VertexLabeling
 from repro.sampling.base import VertexTrace, WalkTrace
 from repro.util.stats import ccdf_from_pmf
 
 Label = Hashable
-DegreeOf = Callable[[int], int]
 
 
 def true_degree_pmf(
-    graph: Union[Graph, CSRGraph], degree_of: Optional[DegreeOf] = None
+    graph: Union[Graph, CSRGraph], degree_of: Optional[VertexLabel] = None
 ) -> Dict[int, float]:
     """Exact ``theta_i``: fraction of vertices with degree label ``i``.
 
     One vertex-sample update of :class:`StreamingDegreePMF` over every
-    vertex.  Dense on ``0 .. max``, like the estimators' output; a
-    negative label raises :class:`ValueError`.
+    vertex; ``degree_of`` is an array over vertex ids or a callable.
+    Dense on ``0 .. max``, like the estimators' output; a negative
+    label raises :class:`ValueError`.
     """
     if graph.num_vertices == 0:
         raise ValueError("empty graph")
@@ -41,7 +41,7 @@ def true_degree_pmf(
 
 
 def true_degree_ccdf(
-    graph: Union[Graph, CSRGraph], degree_of: Optional[DegreeOf] = None
+    graph: Union[Graph, CSRGraph], degree_of: Optional[VertexLabel] = None
 ) -> Dict[int, float]:
     """Exact CCDF ``gamma_i = sum_{k > i} theta_k``."""
     return ccdf_from_pmf(true_degree_pmf(graph, degree_of))

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, get_csr
 from repro.graph.graph import Graph
 from repro.util.alias import AliasTable
 from repro.util.backends import check_backend_name
@@ -163,29 +163,20 @@ class Sampler(abc.ABC):
         return f"{type(self).__name__}()"
 
 
-def _walkable_vertices(graph: Graph) -> List[int]:
-    """Vertices a walker can occupy (degree >= 1).
-
-    The paper assumes every vertex has at least one edge; crawled
-    graphs can still contain isolated ids, which can never be walked
-    from, so seeding skips them.
-    """
-    vertices = [v for v in graph.vertices() if graph.degree(v) > 0]
-    if not vertices:
-        raise ValueError("graph has no vertices with positive degree")
-    return vertices
-
-
 def uniform_seeds(graph: Graph, count: int, rng: random.Random) -> List[int]:
     """``count`` independent uniform vertices (with replacement).
 
     Uniform over the walkable (degree >= 1) vertices, matching the
-    paper's random vertex sampling of valid user ids.
+    paper's random vertex sampling of valid user ids: isolated ids can
+    never be walked from.  They are read, ascending, off the graph's
+    cached CSR (:meth:`~repro.graph.csr.CSRGraph.walkable`).
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    vertices = _walkable_vertices(graph)
-    return [vertices[rng.randrange(len(vertices))] for _ in range(count)]
+    walkable = get_csr(graph).walkable()
+    if walkable.size == 0:
+        raise ValueError("graph has no vertices with positive degree")
+    return walkable[[rng.randrange(walkable.size) for _ in range(count)]].tolist()
 
 
 def stationary_seeds(graph: Graph, count: int, rng: random.Random) -> List[int]:

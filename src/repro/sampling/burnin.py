@@ -71,12 +71,13 @@ def discard_burn_in(trace: WalkTrace, burn_in: int) -> WalkTrace:
     For multi-walker traces the *per-walker* prefixes are dropped
     proportionally (each walker discards ``burn_in / m`` of its own
     steps, at least one), matching how a practitioner would burn in m
-    independent chains; the kept steps are grouped walker by walker.
-    A Metropolis trace burns in proposals: ``visited`` keeps its
-    entries from proposal ``burn_in`` on, and the edges only the
-    transitions accepted there.  Both backends' traces are accepted
-    and keep their type.  The returned trace's budget still reflects
-    the full spend — burned samples are paid for, just not used.
+    independent chains; the kept steps are grouped walker by walker,
+    and ``walker_indices`` names each one's walker.  A Metropolis trace
+    burns in proposals: ``visited`` keeps its entries from proposal
+    ``burn_in`` on, and the edges only the transitions accepted there.
+    Both backends' traces are accepted and keep their type.  The
+    returned trace's budget still reflects the full spend — burned
+    samples are paid for, just not used.
     """
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
@@ -109,12 +110,13 @@ def discard_burn_in(trace: WalkTrace, burn_in: int) -> WalkTrace:
     kept_per_walker: List[List] = [
         edges[per_walker_burn:] for edges in trace.per_walker
     ]
-    kept_flat = [e for edges in kept_per_walker for e in edges]
     return replace(
         trace,
-        edges=kept_flat,
+        edges=[e for edges in kept_per_walker for e in edges],
         per_walker=kept_per_walker,
-        walker_indices=None,  # interleaving no longer meaningful
+        walker_indices=[
+            w for w, edges in enumerate(kept_per_walker) for _ in edges
+        ],
     )
 
 

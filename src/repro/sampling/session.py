@@ -724,13 +724,6 @@ class MultipleWalkSession(_ListSession):
                 current = nxt
             self.positions[idx] = current
 
-    def trace(self) -> WalkTrace:
-        # The one-shot MultipleRW trace groups edges per walker but
-        # reports no interleaving (the walkers are independent).
-        trace = super().trace()
-        trace.walker_indices = None
-        return trace
-
 
 class FrontierWalkSession(_ListSession):
     """FS (Algorithm 1): frontier positions + Fenwick degree weights."""

@@ -309,24 +309,11 @@ class TestVectorizedInternals:
     def test_degree_array_cache_tracks_mutation(self):
         graph = disconnected_graph()
         before = streaming.degrees_of(graph)
-        assert streaming.degrees_of(graph) is before  # cached
+        assert before.tolist() == graph.degrees()
         graph.add_edge(7, 8)
         after = streaming.degrees_of(graph)
-        assert after is not before
-        assert after[8] == 1
-
-    def test_degree_array_cache_is_bounded_lru(self):
-        graph = disconnected_graph()
-        latest = {}
-        for i in range(8):
-            graph.add_edge(i, i + 1)
-            latest[graph.version] = streaming.degrees_of(graph)
-        cache = graph._degree_array_cache
-        assert len(cache) == streaming._DEGREE_CACHE_VERSIONS
-        # The newest version survives the evictions (identity hit)...
-        assert streaming.degrees_of(graph) is latest[graph.version]
-        # ...and every retained entry is keyed by a version we saw.
-        assert set(cache) <= set(latest)
+        assert after.tolist() == graph.degrees()
+        assert (before[8], after[8]) == (0, 1)
 
     def test_unique_edges_multiplicities(self):
         sources = np.array([2, 0, 2, 2], dtype=np.int64)

@@ -91,8 +91,26 @@ class TestDiscardBurnIn:
     def test_fs_trace_supported(self, house):
         trace = FrontierSampler(4).sample(house, 100, rng=5)
         burned = discard_burn_in(trace, 40)
-        assert burned.walker_indices is None
+        assert burned.walker_indices == [
+            w for w, edges in enumerate(burned.per_walker) for _ in edges
+        ]
         assert burned.num_steps < trace.num_steps
+
+    @pytest.mark.parametrize(
+        "sampler", [MultipleRandomWalk(4), FrontierSampler(4)], ids=["MRW", "FS"]
+    )
+    def test_list_walker_ids_group_the_kept_edges(self, house, sampler):
+        """A burned list trace names each kept edge's walker, walker by
+        walker, so its ids regroup the edges into ``per_walker``."""
+        trace = sampler.sample(house, 100, rng=7)
+        assert trace.walker_indices is not None
+        burned = discard_burn_in(trace, 12)
+        assert len(burned.walker_indices) == burned.num_steps
+        regrouped = [[] for _ in burned.per_walker]
+        for walker, edge in zip(burned.walker_indices, burned.edges):
+            regrouped[walker].append(edge)
+        assert regrouped == burned.per_walker
+        assert burned.walker_indices == sorted(burned.walker_indices)
 
     def test_burn_longer_than_trace(self, house):
         trace = SingleRandomWalk().sample(house, 20, rng=6)
@@ -138,6 +156,14 @@ class TestBothBackends:
             burned = discard_burn_in(trace, burn_in)
             reference = discard_burn_in(_as_list_trace(trace), burn_in)
             assert burned.edges == reference.edges
+
+    @pytest.mark.parametrize("factory, backend", WALKS)
+    def test_both_backends_keep_the_same_walker_ids(self, ba, factory, backend):
+        trace = factory(backend).sample(ba, 200, rng=4)
+        for burn_in in (1, 40):
+            burned = discard_burn_in(trace, burn_in)
+            reference = discard_burn_in(_as_list_trace(trace), burn_in)
+            assert burned.walker_indices == reference.walker_indices
             assert burned.per_walker == reference.per_walker
             assert burned.spent() == reference.spent()
             assert getattr(burned, "visited", None) == getattr(

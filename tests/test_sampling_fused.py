@@ -96,6 +96,7 @@ def make_parts(graph):
         digraph.add_edge(u, v)
     return [
         StreamingDegreePMF(graph),
+        StreamingDegreePMF(graph, np.array(digraph.out_degrees())),
         StreamingAverageDegree(graph),
         StreamingGraphSize(graph),
         StreamingEdgeFunctional(edge_weight),
@@ -186,6 +187,25 @@ class TestSessionParity:
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
         run_parity(sampler_key, seed=11, chunks=[30, 0, 45], budget_tail=200.0)
 
+    @pytest.mark.parametrize("sampler_key", sorted(SAMPLERS))
+    def test_labeled_degree_pmf_fuses(self, sampler_key):
+        """A relabeled PMF absorbs per-vertex visit counts, and its fused
+        estimate equals its drained twin's exactly, for every sampler
+        (the bundle in :func:`make_parts` carries one too)."""
+        graph = fused_graph()
+        labels = np.arange(graph.num_vertices) % 9
+        fused = StreamingDegreePMF(graph, labels)
+        drained = StreamingDegreePMF(graph, labels)
+        assert fused.fused_needs() == FusedNeeds(visit_counts=True)
+        fused_session = SAMPLERS[sampler_key]().start(graph, rng=21)
+        drained_session = SAMPLERS[sampler_key]().start(graph, rng=21)
+        for chunk in (40, 1, 75):
+            fused_session.advance_into(fused, steps=chunk)
+            drained_session.advance(chunk)
+            drain_into(drained_session, [drained])
+        assert fused.estimate() == drained.estimate()
+        assert fused.ccdf() == drained.ccdf()
+
     def test_trace_collector_falls_back_to_drain(self):
         """A non-fusable accumulator still works: advance_into drains
         the increment into it and leaves the session record empty."""
@@ -263,10 +283,9 @@ class TestBlockStructure:
         )
         assert needs == FusedNeeds(degree_counts=True)
         assert merge_needs([StreamingDegreePMF(graph), TraceCollector()]) is None
-        assert (
-            merge_needs([StreamingDegreePMF(graph, degree_of=lambda v: 1)])
-            is None
-        )
+        assert merge_needs(
+            [StreamingDegreePMF(graph, degree_of=lambda v: 1)]
+        ) == FusedNeeds(visit_counts=True)
 
     def test_degree_only_block_is_o_max_degree(self):
         """The bench's memory claim, structurally: a degree-statistics
