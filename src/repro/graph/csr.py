@@ -23,9 +23,11 @@ what makes list-backend and csr-backend walks bit-for-bit comparable
 under a shared random stream.  :func:`graph_from_edge_sequence` runs the
 other way in bulk: it turns an edge sequence into the rows sequential
 ``Graph.add_edge`` calls would build, and hands back a :class:`Graph`
-over those rows with the CSR already attached.  Callers that only walk
-and score skip the lists: :meth:`CSRGraph.from_edge_sequence` and
-:func:`induced_csr` give the same rows as a :class:`CSRGraph`.
+over those rows with the CSR attached.  That :class:`Graph` slices its
+adjacency lists from the CSR only when a list is first asked for, so a
+caller that only walks and scores it on its CSR never builds them.
+:meth:`CSRGraph.from_edge_sequence` and :func:`induced_csr` give the
+same rows as a :class:`CSRGraph`.
 """
 
 from __future__ import annotations
@@ -138,8 +140,12 @@ class CSRGraph:
         raise.  ``add_edge`` appends ``tails[i]`` to row ``heads[i]`` and
         ``heads[i]`` to row ``tails[i]``, so sorting the interleaved
         half-edges by source vertex, ties by position, lays every row
-        out in insertion order.  The sort runs in place on the distinct
-        keys ``end * 2E + position``, which must fit in int64:
+        out in insertion order.  When ``heads`` and ``tails`` are the
+        even and odd views of one contiguous int64 buffer, as
+        :func:`repro.generators.ba.ba_edges` returns them, that buffer
+        is read as it is; other inputs are interleaved into a copy.
+        The sort runs in place on the distinct keys
+        ``end * 2E + position``, which must fit in int64:
         ``num_vertices * 2E`` above ``2**63`` raises :class:`ValueError`
         before anything is allocated.
         """
@@ -161,20 +167,22 @@ class CSRGraph:
                 f"{num_vertices} vertices and {heads.size} edges overflow"
                 " the int64 row keys (num_vertices * 2E > 2**63)"
             )
-        ends = np.column_stack((heads, tails)).ravel()
-        others = np.column_stack((tails, heads)).ravel()
+        interleaved = _interleaved(heads, tails)
+        if interleaved is None:
+            interleaved = np.column_stack((heads, tails)).ravel()
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=num_vertices), out=indptr[1:])
-        # The ends buffer becomes the keys end * 2E + position in place
-        # (a separate key array would add a 2E array to the peak).  They
-        # are distinct, so an unstable sort orders them as a stable sort
-        # by end would, and the remainder is the position.
-        order = ends
-        order *= half_edges
+        np.cumsum(np.bincount(interleaved, minlength=num_vertices), out=indptr[1:])
+        # The keys end * 2E + position are a fresh array, so the
+        # caller's buffer is never written.  They are distinct, so an
+        # unstable sort orders them as a stable sort by end would, and
+        # the remainder is the position.  The other end of half-edge p
+        # is half-edge p ^ 1.
+        order = interleaved * half_edges
         order += np.arange(half_edges, dtype=np.int64)
         order.sort()
         order %= half_edges
-        return cls(indptr, others[order], validate=False)
+        order ^= 1
+        return cls(indptr, interleaved[order], validate=False)
 
     @classmethod
     def from_edges(
@@ -317,6 +325,13 @@ class CSRGraph:
             raise ValueError(f"vertex {v} has no neighbors to walk to")
         return int(self.indices[self.indptr[v] + rng.integers(0, degree)])
 
+    def _rows(self) -> List[List[int]]:
+        """The rows as a :class:`Graph`'s adjacency lists, over one
+        shared int object per vertex id."""
+        flat = np.arange(self.num_vertices, dtype=object)[self.indices].tolist()
+        bounds = self.indptr.tolist()
+        return [flat[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
     # ------------------------------------------------------------------
     # derived caches (built on first use; never pickled or copied)
     # ------------------------------------------------------------------
@@ -394,6 +409,22 @@ def _check_symmetric(indptr: np.ndarray, indices: np.ndarray) -> None:
     )
 
 
+def _interleaved(heads: np.ndarray, tails: np.ndarray) -> Optional[np.ndarray]:
+    """The contiguous buffer ``h0, t0, h1, t1, ...`` whose even and odd
+    entries ``heads`` and ``tails`` view (same address, shape, strides
+    and dtype), flat; else ``None``."""
+    buffer = heads.base
+    if not isinstance(buffer, np.ndarray) or not buffer.flags.c_contiguous:
+        return None
+    flat = buffer.reshape(-1)
+    if (
+        heads.__array_interface__ == flat[0::2].__array_interface__
+        and tails.__array_interface__ == flat[1::2].__array_interface__
+    ):
+        return flat
+    return None
+
+
 def graph_from_edge_sequence(
     heads: np.ndarray, tails: np.ndarray, num_vertices: int
 ) -> Graph:
@@ -402,22 +433,25 @@ def graph_from_edge_sequence(
 
     Same neighbor lists, same ``version``, and
     :meth:`CSRGraph.from_edge_sequence` attached as the :func:`get_csr`
-    cache.  The edges must be distinct.  Every adjacency list refers to
-    one shared int object per vertex id, and the membership sets are
-    built on first use, so the graph costs little more than its rows.
+    cache.  The edges must be distinct.  The adjacency lists are sliced
+    from the CSR on first use, each referring to one shared int object
+    per vertex id, and the membership sets are built from the lists on
+    first use, so a graph that is only walked on its CSR costs little
+    more than the CSR.
     """
     return _graph_over(CSRGraph.from_edge_sequence(heads, tails, num_vertices))
 
 
 def _graph_over(csr: CSRGraph) -> Graph:
     """The :class:`Graph` whose neighbor lists are ``csr``'s rows, with
-    ``csr`` attached as its :func:`get_csr` cache."""
-    flat = np.arange(csr.num_vertices, dtype=object)[csr.indices].tolist()
-    bounds = csr.indptr.tolist()
-    graph = Graph._from_adjacency(
-        [flat[start:stop] for start, stop in zip(bounds, bounds[1:])],
-        csr.num_edges,
-    )
+    ``csr`` attached as its :func:`get_csr` cache.
+
+    It holds no lists: the first call that reads a row or mutates the
+    graph slices them from ``csr`` (``Graph.__getattr__``).
+    """
+    graph = Graph()
+    del graph._adj
+    graph._num_edges = graph._version = csr.num_edges
     graph._csr_cache = (graph.version, csr)
     return graph
 

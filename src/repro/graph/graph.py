@@ -23,9 +23,14 @@ class Graph:
     to one.  The class maintains, per vertex, both an adjacency *list*
     (for O(1) uniform neighbor draws) and an adjacency *set* (for O(1)
     membership tests), trading memory for the query mix the samplers
-    need.  The sets are built from the lists on the first membership
-    query or mutation, so a bulk-built graph that is only walked never
-    pays for them.
+    need.  Both are built on first use.  A graph built in bulk over a
+    CSR (:func:`repro.graph.csr.graph_from_edge_sequence`) slices its
+    lists from that CSR on the first call that reads a row or mutates
+    the graph; ``num_vertices``, ``vertices()``, ``num_edges``,
+    ``version``, ``volume()`` and ``get_csr`` answer without them.  The
+    sets are built from the lists on the first membership query or
+    mutation.  A bulk-built graph that is only walked on its CSR pays
+    for neither.
     """
 
     def __init__(self, num_vertices: int = 0):
@@ -60,19 +65,19 @@ class Graph:
             graph.add_edge(u, v)
         return graph
 
-    @classmethod
-    def _from_adjacency(cls, adjacency: List[List[int]], num_edges: int) -> "Graph":
-        """Adopt finished adjacency lists (symmetric, simple, loop-free).
-
-        The result is indistinguishable from ``Graph(len(adjacency))``
-        followed by ``num_edges`` successful ``add_edge`` calls that
-        produced these lists, version counter included.
-        """
-        graph = cls()
-        graph._adj = adjacency
-        graph._num_edges = num_edges
-        graph._version = num_edges
-        return graph
+    def __getattr__(self, name: str) -> List[List[int]]:
+        # Python calls this only for a name the instance lacks: the
+        # lists of a graph built over a CSR (repro.graph.csr._graph_over)
+        # before their first use.  State is read through __dict__ and no
+        # other name is answered, so a half-restored instance (while
+        # unpickling or copying) cannot recurse here.  Threads that race
+        # on the first build all get the first finished one.
+        state = self.__dict__
+        if name != "_adj" or "_csr_cache" not in state:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        return state.setdefault("_adj", state["_csr_cache"][1]._rows())
 
     def _sets(self) -> List[Set[int]]:
         # Threads that race on the first call each build equal sets;
@@ -140,7 +145,10 @@ class Graph:
     # ------------------------------------------------------------------
     @property
     def num_vertices(self) -> int:
-        return len(self._adj)
+        adj = self.__dict__.get("_adj")
+        if adj is None:
+            return self._csr_cache[1].num_vertices
+        return len(adj)
 
     @property
     def num_edges(self) -> int:
@@ -153,7 +161,7 @@ class Graph:
         return self._version
 
     def vertices(self) -> range:
-        return range(len(self._adj))
+        return range(self.num_vertices)
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)

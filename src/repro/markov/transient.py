@@ -93,9 +93,11 @@ def final_edge_gap_from_edges(
 
     ``final_edges`` holds each run's last sampled edge (``None`` for a
     run whose trace was empty — those are skipped).  Edges never seen
-    have estimated probability zero — they dominate the max, exactly
-    as they should: the walker demonstrably cannot reach them by step
-    B.  This is the measurement-side half of
+    have estimated probability zero, so each contributes a gap of
+    exactly 1.0: the max is raised to 1.0 when fewer distinct edges
+    were seen than ``graph.volume()``, exactly as it should be, since
+    the walker demonstrably cannot reach them by step B.  No edge list
+    is read.  This is the measurement-side half of
     :func:`walk_trace_final_edge_gap`, split out so the experiment
     engine can replicate the traces (and fan them across processes)
     while the gap aggregation stays here.
@@ -112,10 +114,11 @@ def final_edge_gap_from_edges(
     probabilities = {
         edge: count / effective_runs for edge, count in counts.items()
     }
-    for u in graph.vertices():
-        for v in graph.neighbors(u):
-            probabilities.setdefault((u, v), 0.0)
-    return worst_case_gap(probabilities, graph.volume())
+    volume = graph.volume()
+    gap = worst_case_gap(probabilities, volume)
+    if len(probabilities) < volume:
+        gap = max(gap, 1.0)
+    return gap
 
 
 def walk_trace_final_edge_gap(

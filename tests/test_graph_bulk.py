@@ -3,21 +3,29 @@
 ``graph_from_edge_sequence`` and ``CSRGraph.to_graph`` build a whole
 graph in one pass.  They must produce exactly what the per-edge loops
 they replace produce: the same neighbor order, membership answers,
-mutation counter and CSR arrays, also after later mutations and a
-pickle round trip (the membership sets are built lazily).
+mutation counter and CSR arrays, also after later mutations, copies and
+a pickle round trip.  The adjacency lists are sliced from the CSR on
+first use and the membership sets are built from the lists on first
+use, so both are checked before and after they exist.
 """
 
 from __future__ import annotations
 
+import copy
 import pickle
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.csr import CSRGraph, get_csr, graph_from_edge_sequence
+from repro.generators.ba import ba_edges, barabasi_albert
+from repro.generators.er import erdos_renyi_gnm
+from repro.graph.components import induced_subgraph, largest_connected_component
+from repro.graph.csr import CSRGraph, _interleaved, get_csr, graph_from_edge_sequence
 from repro.graph.graph import Graph
 
 
@@ -48,6 +56,11 @@ def _bulk(n, edges):
     heads = np.array([u for u, _ in edges], dtype=np.int64)
     tails = np.array([v for _, v in edges], dtype=np.int64)
     return graph_from_edge_sequence(heads, tails, n)
+
+
+def _unbuilt(graph):
+    """True while ``graph`` holds no adjacency lists."""
+    return "_adj" not in vars(graph)
 
 
 def _assert_same_rows(graph, expected):
@@ -86,9 +99,10 @@ def test_bulk_equals_sequential_add_edge(case, ops):
     _assert_same_rows(graph, expected)
     _assert_same_membership(graph, expected)
 
-    # ``fresh`` meets its first mutation with no sets built; ``graph``
-    # has them from the membership checks above.
+    # ``fresh`` meets its first mutation with no lists or sets built;
+    # ``graph`` has them from the checks above.
     fresh = _bulk(n, edges)
+    assert _unbuilt(fresh)
     for add, a, b in ops:
         u, v = a % n, b % n
         if u == v:
@@ -128,6 +142,174 @@ def test_bulk_empty_and_edgeless():
         assert graph.num_edges == 0
         assert graph.version == 0
         _assert_same_rows(graph, Graph(n))
+
+
+def _ba_lcc():
+    graph = barabasi_albert(10**4, 3, rng=11)
+    lcc, _ = largest_connected_component(graph)
+    return [graph, lcc]
+
+
+def _induced():
+    graph = barabasi_albert(300, 2, rng=12)
+    cut, _ = induced_subgraph(graph, range(0, 300, 3))
+    return [graph, cut]
+
+
+#: Bulk builds, each giving the graphs it made, the result last.
+BULK_BUILDS = {
+    "barabasi_albert-lcc": _ba_lcc,
+    "erdos_renyi_gnm": lambda: [erdos_renyi_gnm(500, 1500, rng=13)],
+    "induced_subgraph": _induced,
+    "to_graph": lambda: [
+        CSRGraph.from_edges([(0, 1), (1, 2), (2, 0), (3, 4), (4, 0)], 6).to_graph()
+    ],
+}
+
+
+@pytest.mark.parametrize("build", sorted(BULK_BUILDS))
+def test_bulk_builds_no_lists(build):
+    graphs = BULK_BUILDS[build]()
+    graph = graphs[-1]
+    csr = get_csr(graph)
+    assert graph.num_vertices == csr.num_vertices
+    assert graph.vertices() == range(csr.num_vertices)
+    assert graph.num_edges == graph.version == csr.num_edges
+    assert graph.volume() == csr.indices.size
+    assert get_csr(graph) is csr
+    assert all(_unbuilt(each) for each in graphs)
+
+
+#: A small graph with an isolated vertex (11) and a vertex of degree 4.
+SMALL = (
+    12,
+    [(0, 1), (2, 1), (3, 0), (4, 2), (1, 5), (5, 6), (6, 0), (7, 3),
+     (8, 2), (9, 8), (10, 4), (1, 3)],
+)
+
+
+def _rows(graph):
+    return graph.version, [list(graph.neighbors(v)) for v in graph.vertices()]
+
+
+def _random_neighbors(graph):
+    rng = random.Random(5)
+    return [graph.random_neighbor(v, rng) for v in list(range(11)) * 4]
+
+
+def _random_edges(graph):
+    rng = random.Random(6)
+    return [graph.random_edge(rng) for _ in range(40)]
+
+
+#: Calls that read a row or mutate the graph, so they build its lists.
+QUERIES = {
+    "neighbors": lambda g: [list(g.neighbors(v)) for v in g.vertices()],
+    "degree": lambda g: [g.degree(v) for v in g.vertices()],
+    "degrees": lambda g: g.degrees(),
+    "edges": lambda g: list(g.edges()),
+    "directed_edges": lambda g: list(g.directed_edges()),
+    "has_edge": lambda g: [g.has_edge(u, v) for u in g.vertices() for v in g.vertices()],
+    "neighbor_set": lambda g: [g.neighbor_set(v) for v in g.vertices()],
+    "isolated_vertices": lambda g: g.isolated_vertices(),
+    "max_degree": lambda g: g.max_degree(),
+    "copy": lambda g: _rows(g.copy()),
+    "random_neighbor": _random_neighbors,
+    "random_edge": _random_edges,
+    "add_vertex": lambda g: (g.add_vertex(), _rows(g)),
+}
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_unbuilt_graph_answers_as_the_add_edge_build(query):
+    n, edges = SMALL
+    graph, expected = _bulk(n, edges), _sequential(n, edges)
+    assert _unbuilt(graph)
+    assert QUERIES[query](graph) == QUERIES[query](expected)
+    assert not _unbuilt(graph)
+    _assert_same_rows(graph, expected)
+
+
+COPIERS = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("copier", sorted(COPIERS))
+def test_unbuilt_copies_carry_the_csr_and_no_lists(copier):
+    n, edges = SMALL
+    graph = _bulk(n, edges)
+    clone = COPIERS[copier](graph)
+    assert _unbuilt(graph) and _unbuilt(clone)
+    ours, theirs = get_csr(clone), get_csr(graph)
+    assert np.array_equal(ours.indptr, theirs.indptr)
+    assert np.array_equal(ours.indices, theirs.indices)
+    assert _unbuilt(clone)
+    _assert_same_rows(clone, _sequential(n, edges))
+    assert _unbuilt(graph)
+
+
+def test_threads_racing_on_the_first_build_share_one():
+    n = 3000
+    heads, tails = ba_edges(n, 3, rng=17)
+    graph = graph_from_edge_sequence(heads, tails, n)
+    expected = _sequential(n, zip(heads.tolist(), tails.tolist()))
+    barrier = threading.Barrier(8)
+    rows = [None] * 8
+
+    def touch(slot):
+        barrier.wait(timeout=30)
+        rows[slot] = graph.neighbors(0)
+
+    threads = [threading.Thread(target=touch, args=(slot,)) for slot in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(row is graph.neighbors(0) for row in rows)
+    assert rows[0] == list(expected.neighbors(0))
+
+
+def _layouts(heads, tails):
+    """One edge sequence in each layout ``from_edge_sequence`` accepts,
+    with whether it is read without a copy."""
+    buffer = np.empty(2 * heads.size, dtype=np.int64)
+    buffer[0::2], buffer[1::2] = heads, tails
+    pairs = np.column_stack((heads, tails))
+    swapped = np.column_stack((tails, heads)).ravel()
+    spread = np.zeros(2 * buffer.size, dtype=np.int64)
+    spread[::2] = buffer
+    return {
+        "one buffer": (buffer[0::2], buffer[1::2], True),
+        "columns": (pairs[:, 0], pairs[:, 1], True),
+        "swapped views": (swapped[1::2], swapped[0::2], False),
+        "non-contiguous": (spread[::2][0::2], spread[::2][1::2], False),
+        "two buffers": (heads.copy(), tails.copy(), False),
+    }
+
+
+@pytest.mark.parametrize(
+    "layout", ["one buffer", "columns", "swapped views", "non-contiguous", "two buffers"]
+)
+def test_from_edge_sequence_reads_every_layout(layout):
+    n = 200
+    heads, tails = (np.array(ends) for ends in ba_edges(n, 3, rng=19))
+    ours, theirs, in_place = _layouts(heads, tails)[layout]
+    assert (_interleaved(ours, theirs) is not None) == in_place
+    before = (ours.copy(), theirs.copy())
+    csr = CSRGraph.from_edge_sequence(ours, theirs, n)
+    assert np.array_equal(ours, before[0]) and np.array_equal(theirs, before[1])
+    expected = get_csr(_sequential(n, zip(heads.tolist(), tails.tolist())))
+    assert np.array_equal(csr.indptr, expected.indptr)
+    assert np.array_equal(csr.indices, expected.indices)
 
 
 @pytest.mark.parametrize(

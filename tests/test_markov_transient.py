@@ -1,9 +1,13 @@
 """Tests for the Appendix B / Table 4 transient machinery."""
 
+import numpy as np
 import pytest
 
+from repro.generators.ba import barabasi_albert
 from repro.generators.classic import complete_graph
+from repro.graph.csr import get_csr
 from repro.markov.transient import (
+    final_edge_gap_from_edges,
     multiple_rw_worst_case_gap,
     single_rw_edge_probabilities,
     single_rw_worst_case_gap,
@@ -114,3 +118,38 @@ class TestMonteCarloGap:
     def test_runs_validation(self, paw):
         with pytest.raises(ValueError):
             walk_trace_final_edge_gap(paw, SingleRandomWalk(), 5, runs=0)
+
+
+def _gap_listing_every_edge(graph, final_edges):
+    """``final_edge_gap_from_edges`` as it was: a 0.0 probability listed
+    for every directed edge never seen."""
+    seen = [edge for edge in final_edges if edge is not None]
+    probabilities = {edge: seen.count(edge) / len(seen) for edge in seen}
+    for edge in graph.directed_edges():
+        probabilities.setdefault(edge, 0.0)
+    return worst_case_gap(probabilities, graph.volume())
+
+
+class TestFinalEdgeGap:
+    def test_every_edge_seen(self):
+        graph = barabasi_albert(30, 2, rng=3)
+        edges = list(graph.directed_edges())
+        final_edges = edges * 3 + edges[:7]
+        final_edges.append(None)
+        gap = final_edge_gap_from_edges(graph, final_edges)
+        assert 0.0 < gap < 1.0
+        assert gap == _gap_listing_every_edge(graph, final_edges)
+
+    @pytest.mark.parametrize("repeats", [0, 40])
+    def test_unseen_edges(self, repeats):
+        """Unseen edges raise the gap to 1.0, unless an oversampled
+        edge's gap is larger; the edge lists are never built."""
+        graph = barabasi_albert(30, 2, rng=4)
+        csr = get_csr(graph)
+        sources = np.repeat(np.arange(csr.num_vertices), np.diff(csr.indptr))
+        edges = list(zip(sources.tolist(), csr.indices.tolist()))
+        final_edges = edges[5:] + edges[5:6] * repeats
+        gap = final_edge_gap_from_edges(graph, final_edges)
+        assert "_adj" not in vars(graph)
+        assert gap == _gap_listing_every_edge(graph, final_edges)
+        assert (gap == 1.0) == (repeats == 0)
