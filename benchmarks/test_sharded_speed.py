@@ -77,11 +77,9 @@ def steady_seconds(session, repeats=3):
 
 def test_sharded_merge_is_bit_reproducible(ba_graph, walker_seeds):
     """Fixed (seed, n_procs): repeated runs and shard counts agree."""
-    sampler_one = ShardedFrontierSampler(
-        DIMENSION, procs=1, use_processes=False
-    )
+    sampler_one = ShardedFrontierSampler(DIMENSION, procs=1)
     sampler_four = ShardedFrontierSampler(
-        DIMENSION, procs=PROCS, use_processes=False
+        DIMENSION, procs=PROCS, executor="thread"
     )
     steps = 20_000  # parity leg: enough to cross many event blocks
     first = sampler_one.sample_from(ba_graph, walker_seeds, steps, rng=7)
@@ -101,9 +99,9 @@ def test_sharded_fs_scaling(ba_graph, walker_seeds, save_result):
     )
     fs_seconds = steady_seconds(fs_session)
 
-    inline = ShardedFrontierSampler(
-        DIMENSION, procs=1, use_processes=False
-    ).start(ba_graph, rng=7, initial_vertices=walker_seeds)
+    inline = ShardedFrontierSampler(DIMENSION, procs=1).start(
+        ba_graph, rng=7, initial_vertices=walker_seeds
+    )
     inline_seconds = steady_seconds(inline)
     inline.close()
 

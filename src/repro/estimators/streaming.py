@@ -17,14 +17,16 @@ to materialize:
 
 Eq. (7)'s reweighted estimators keep ``(sum g(v)/deg(v), sum 1/deg(v))``,
 eq. (9)/(5)'s edge estimators keep ``(sum f, relevant count)``, and the
-size estimator keeps the collision statistics.  A list-backed increment
-runs the accumulator's tuple loop.  An array-backed one
-(:class:`~repro.sampling.vectorized.ArrayWalkTrace`) is reduced to the
-counts a :class:`~repro.sampling.fused.FusedBlock` carries — visit
-counts, or the distinct sampled edges with their multiplicities — and
-meets a block (:meth:`~StreamingEstimator.absorb_block`, filled by the
-walk kernels) in one count consumer per statistic.  Fused and drained
-runs therefore produce **bit-identical** estimates; a trace split into
+size estimator keeps the collision statistics.  Each accumulator has
+one count reduction: it reads a :class:`~repro.sampling.fused.FusedBlock`
+of the statistics its ``fused_needs()`` names — per-degree counts,
+per-vertex visit counts, or the sampled edge keys.  The walk kernels
+fill such blocks (:meth:`~StreamingEstimator.absorb_block`), and an
+array-backed increment
+(:class:`~repro.sampling.vectorized.ArrayWalkTrace`) is folded into one
+by :func:`~repro.sampling.fused.block_from_arrays`.  A list-backed
+increment runs the accumulator's tuple loop.  Fused and drained runs
+therefore produce **bit-identical** estimates; a trace split into
 increments agrees with the one-shot estimate to ≤1e-12 (only float
 summation association differs), which the parity tests pin down.
 """
@@ -46,7 +48,7 @@ from repro.graph.labels import (
     vertex_label_array,
 )
 from repro.sampling.base import VertexTrace, WalkTrace
-from repro.sampling.fused import FusedBlock, FusedNeeds
+from repro.sampling.fused import FusedBlock, FusedNeeds, block_from_arrays
 from repro.sampling.vectorized import ArrayWalkTrace
 from repro.util.stats import ccdf_from_pmf
 
@@ -79,30 +81,14 @@ def shared_neighbors(graph, u: int, v: int) -> int:
     return sum(1 for w in set_u if w in set_v)
 
 
-def _unique_edges(
-    sources: np.ndarray, targets: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct directed edges of the trace with their multiplicities.
-
-    Returns ``(unique_sources, unique_targets, counts)``, sorted by
-    ``(u, v)``.  Edges are keyed as ``u * base + v`` in int64, which
-    cannot overflow for any graph whose CSR arrays fit in memory.
-    """
-    base = int(targets.max()) + 1
-    keys = sources * np.int64(base) + targets
-    unique, counts = np.unique(keys, return_counts=True)
-    return unique // base, unique % base, counts
-
-
 def _decode_edge_keys(block: FusedBlock):
-    """Distinct edges of a block, in :func:`_unique_edges`'s order.
+    """Distinct edges of a block with their multiplicities.
 
-    Keys are ``u * key_base + v`` with ``key_base = num_vertices``;
-    ``np.unique`` therefore yields the edges sorted by ``(u, v)`` — the
-    sequence :func:`_unique_edges` produces from the step arrays (its
-    base differs, but any base above the maximum target sorts keys
-    identically), so per-edge float accumulation happens in exactly the
-    same order on both paths.
+    Returns ``(us, vs, counts)``.  Keys are ``u * key_base + v`` with
+    ``key_base`` above every target, so ``np.unique`` yields the edges
+    sorted by ``(u, v)`` whatever the base: a kernel block and the
+    smaller block :func:`~repro.sampling.fused.block_from_arrays` folds
+    from the same steps accumulate per-edge floats in the same order.
     """
     unique, counts = np.unique(block.edge_key_array(), return_counts=True)
     base = np.int64(block.key_base)
@@ -132,11 +118,12 @@ def _dense(pmf: Dict[int, float]) -> Dict[int, float]:
 class StreamingEstimator(abc.ABC):
     """An accumulator fed trace increments via :meth:`update`.
 
-    ``update`` accepts both backends' walk traces: a list-backed trace
-    runs the accumulator's tuple loop, an array-backed one its count
-    reduction; empty increments are no-ops.  :meth:`estimate` may be
-    called at any time (anytime estimation) and raises
-    :class:`ValueError` while no samples have been consumed.
+    ``update`` accepts both backends' walk traces: an array-backed one
+    is folded into a block of the accumulator's :meth:`fused_needs` and
+    absorbed like a kernel's, a list-backed one runs its tuple loop;
+    empty increments are no-ops.  :meth:`estimate` may be called at any
+    time (anytime estimation) and raises :class:`ValueError` while no
+    samples have been consumed.
     """
 
     def update(self, trace) -> "StreamingEstimator":
@@ -145,7 +132,15 @@ class StreamingEstimator(abc.ABC):
             self._update_vertex_trace(trace)
         elif isinstance(trace, ArrayWalkTrace):
             if trace.step_targets.size:
-                self._update_array(trace)
+                needs = self.fused_needs()
+                self._absorb_block(
+                    block_from_arrays(
+                        needs,
+                        trace.step_sources,
+                        trace.step_targets,
+                        degrees_of(self.graph) if needs.degree_counts else None,
+                    )
+                )
         elif isinstance(trace, WalkTrace):
             if trace.edges:
                 self._update_list(trace)
@@ -189,16 +184,9 @@ class StreamingEstimator(abc.ABC):
         if "graph" in self.__dict__:
             self.graph = graph
 
-    def fused_needs(self) -> Optional[FusedNeeds]:
-        """Block statistics this accumulator can absorb, or ``None``.
-
-        ``None`` (the default) marks the accumulator as drain-only:
-        sessions and the engine must feed it ``take_trace()``
-        increments.  Subclasses that consume only eq. (7)/(9)
-        sufficient statistics override this to return their
-        :class:`~repro.sampling.fused.FusedNeeds`.
-        """
-        return None
+    @abc.abstractmethod
+    def fused_needs(self) -> FusedNeeds:
+        """The block statistics this accumulator consumes."""
 
     def absorb_block(self, block: FusedBlock) -> "StreamingEstimator":
         """Consume one fused accumulator block; returns self.
@@ -210,14 +198,9 @@ class StreamingEstimator(abc.ABC):
             self._absorb_block(block)
         return self
 
-    def _absorb_block(self, block: FusedBlock) -> None:
-        raise TypeError(
-            f"{type(self).__name__} cannot absorb fused blocks; feed it"
-            " trace increments instead"
-        )
-
     @abc.abstractmethod
-    def _update_array(self, trace) -> None: ...
+    def _absorb_block(self, block: FusedBlock) -> None:
+        """Fold a non-empty block into the running sums."""
 
     @abc.abstractmethod
     def _update_list(self, trace: WalkTrace) -> None: ...
@@ -230,15 +213,10 @@ class StreamingEstimator(abc.ABC):
 
 
 class _VisitCountEstimator(StreamingEstimator):
-    """Reduces array increments and blocks to ``(vertices, counts)``,
-    the distinct visited vertices and their visit counts."""
+    """Reduces blocks to ``(vertices, counts)``, the distinct visited
+    vertices and their visit counts."""
 
-    def _update_array(self, trace) -> None:
-        self._absorb_visit_counts(
-            *np.unique(trace.step_targets, return_counts=True)
-        )
-
-    def fused_needs(self) -> Optional[FusedNeeds]:
+    def fused_needs(self) -> FusedNeeds:
         return FusedNeeds(visit_counts=True)
 
     def _absorb_block(self, block: FusedBlock) -> None:
@@ -255,15 +233,10 @@ class _VisitCountEstimator(StreamingEstimator):
 
 
 class _EdgeCountEstimator(StreamingEstimator):
-    """Reduces array increments and blocks to the distinct sampled
-    edges, sorted by ``(u, v)``, with their multiplicities."""
+    """Reduces blocks to the distinct sampled edges, sorted by
+    ``(u, v)``, with their multiplicities."""
 
-    def _update_array(self, trace) -> None:
-        self._consume_edges(
-            *_unique_edges(trace.step_sources, trace.step_targets)
-        )
-
-    def fused_needs(self) -> Optional[FusedNeeds]:
+    def fused_needs(self) -> FusedNeeds:
         return FusedNeeds(edge_keys=True)
 
     def _absorb_block(self, block: FusedBlock) -> None:
@@ -323,16 +296,6 @@ class StreamingDegreePMF(_VisitCountEstimator):
         self._normalizer += normalizer
         self._samples += samples
 
-    def _update_array(self, trace) -> None:
-        self._latch("walk")
-        if self.labels is not None:
-            super()._update_array(trace)
-        else:
-            # Same count-based reduction as the fused-block path, so
-            # drained and fused runs stay bit-identical.
-            walking = degrees_of(self.graph)[trace.step_targets]
-            self._absorb_degree_counts(np.bincount(walking))
-
     def _absorb_degree_counts(self, counts: np.ndarray) -> None:
         """Fold exact per-degree visit counts into the running sums."""
         degrees = np.flatnonzero(counts)
@@ -354,7 +317,7 @@ class StreamingDegreePMF(_VisitCountEstimator):
             bins, histogram[bins], float(weights.sum()), int(counts.sum())
         )
 
-    def fused_needs(self) -> Optional[FusedNeeds]:
+    def fused_needs(self) -> FusedNeeds:
         """Per-degree counts — or per-vertex visit counts when
         ``degree_of`` relabels, since the label is a function of the
         vertex that a per-degree count cannot reconstruct."""
@@ -465,12 +428,8 @@ class StreamingAverageDegree(StreamingEstimator):
         self._steps = 0
         self._inverse_sum = 0.0
 
-    def _update_array(self, trace) -> None:
-        degrees = degrees_of(self.graph)[trace.step_targets]
-        self._absorb_degree_counts(np.bincount(degrees))
-
     def _absorb_degree_counts(self, counts: np.ndarray) -> None:
-        """Count-based ``S`` update shared with the fused-block path."""
+        """Fold exact per-degree visit counts into ``S``."""
         degrees = np.flatnonzero(counts)
         contributions = counts[degrees].astype(np.float64) / degrees.astype(
             np.float64
@@ -484,7 +443,7 @@ class StreamingAverageDegree(StreamingEstimator):
             self._inverse_sum += 1.0 / graph.degree(v)
             self._steps += 1
 
-    def fused_needs(self) -> Optional[FusedNeeds]:
+    def fused_needs(self) -> FusedNeeds:
         return FusedNeeds(degree_counts=True)
 
     def _absorb_block(self, block: FusedBlock) -> None:

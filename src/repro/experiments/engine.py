@@ -251,11 +251,11 @@ def concat_traces(traces: Sequence[Any]) -> Any:
 
 
 class TraceCollector:
-    """The accumulator for batch (whole-trace) estimators.
+    """The accumulator for plans that read the trace itself.
 
-    Plans whose estimator needs the full trace — assortativity,
-    clustering, a final-edge statistic — use this instead of a
-    streaming accumulator: increments are retained and
+    Plans whose measurement needs the walk, not its counts — sample
+    path prefixes, a burn-in cut, the MH visit sequence — use this
+    instead of a streaming accumulator: increments are retained and
     :meth:`trace` hands back the concatenated record.  Single-
     checkpoint plans get the session's one increment back unchanged,
     which is bit-identical to the one-shot ``Sampler.sample`` trace.

@@ -10,7 +10,7 @@ argument).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.datasets.registry import (
     Dataset,
@@ -21,8 +21,11 @@ from repro.datasets.registry import (
     livejournal_like,
     youtube_like,
 )
-from repro.estimators.assortativity import assortativity_from_trace
-from repro.estimators.clustering import global_clustering_from_trace
+from repro.estimators.streaming import (
+    StreamingAssortativity,
+    StreamingClustering,
+    StreamingEstimator,
+)
 from repro.experiments.engine import ExperimentPlan, run_plan
 from repro.experiments.render import format_float, render_table
 from repro.graph.components import largest_connected_component
@@ -34,6 +37,7 @@ from repro.metrics.exact import (
 )
 from repro.sampling.base import Backend, Sampler
 from repro.sampling.frontier import FrontierSampler
+from repro.sampling.fused import FusedBlock, FusedNeeds
 from repro.sampling.multiple import MultipleRandomWalk
 from repro.sampling.single import SingleRandomWalk
 
@@ -115,32 +119,35 @@ class Table2Result:
         )
 
 
-def _scalar_trace_plan(
+def _estimate_snapshot(
+    method: str, accumulator: StreamingEstimator, checkpoint: float
+) -> float:
+    return accumulator.estimate()
+
+
+def _scalar_plan(
     title: str,
     graph,
     samplers: Dict[str, Sampler],
     budget: float,
     seed: int,
-    estimate,
+    accumulator: Callable[[Any], StreamingEstimator],
     backend: Optional[Backend],
 ) -> ExperimentPlan:
-    """A one-budget plan whose snapshot runs a batch whole-trace
-    estimator over the replicate's collected trace.
+    """A one-budget plan whose replicates each feed a fresh
+    ``accumulator(graph)`` and record its estimate.
 
     Every method replicates on the *same* child streams (the
     historical tables drew one stream per ``(dataset, run)`` shared by
     all methods), hence the constant ``method_seed``.
     """
-
-    def snapshot(method: str, collector, checkpoint: float) -> float:
-        return estimate(collector.trace())
-
     return ExperimentPlan(
         title=title,
         graph=graph,
         samplers=samplers,
         budgets=[float(budget)],
-        snapshot=snapshot,
+        accumulator=lambda method: accumulator(graph),
+        snapshot=_estimate_snapshot,
         backend=backend,
         method_seed={method: seed for method in samplers},
     )
@@ -182,13 +189,13 @@ def table2(
             "MultipleRW": MultipleRandomWalk(dimension),
             "SingleRW": SingleRandomWalk(),
         }
-        plan = _scalar_trace_plan(
+        plan = _scalar_plan(
             f"Table 2 — assortativity ({dataset.name})",
             graph,
             samplers,
             budget,
             root_seed + 104729 * dataset_index,
-            lambda trace: assortativity_from_trace(graph, trace),
+            StreamingAssortativity,
             backend,
         )
         outcome = run_plan(plan, runs, procs=procs, executor=executor)
@@ -277,13 +284,13 @@ def table3(
             "MultipleRW": MultipleRandomWalk(dimension),
             "SingleRW": SingleRandomWalk(),
         }
-        plan = _scalar_trace_plan(
+        plan = _scalar_plan(
             f"Table 3 — clustering ({dataset.name})",
             graph,
             samplers,
             budget,
             root_seed + 15485863 * dataset_index,
-            lambda trace: global_clustering_from_trace(graph, trace),
+            StreamingClustering,
             backend,
         )
         outcome = run_plan(plan, runs, procs=procs, executor=executor)
@@ -388,13 +395,40 @@ def _table4_graphs(size: int, seed: int):
     }
 
 
-def _final_edge_snapshot(method: str, collector, checkpoint: float):
-    """The replicate's last sampled edge (``None`` for empty traces)."""
-    edges = collector.trace().edges
-    if not edges:
-        return None
-    u, v = edges[-1]
-    return (int(u), int(v))
+class _FinalEdge:
+    """Table 4's statistic: the replicate's last sampled edge.
+
+    A block's edge keys are in step order, so its last key is its last
+    sampled edge (MH: the last accepted proposal); a list walker's
+    increment gives ``trace.edges[-1]``.  An item without a sampled
+    edge leaves the edge as it was, ``None`` before the first.
+    """
+
+    def __init__(self) -> None:
+        self.edge: Optional[Tuple[int, int]] = None
+
+    def fused_needs(self) -> FusedNeeds:
+        return FusedNeeds(edge_keys=True)
+
+    def absorb_block(self, block: FusedBlock) -> "_FinalEdge":
+        keys = block.edge_key_array()
+        if keys.size:
+            u, v = divmod(int(keys[-1]), block.key_base)
+            self.edge = (u, v)
+        return self
+
+    def update(self, trace) -> "_FinalEdge":
+        if trace.edges:
+            u, v = trace.edges[-1]
+            self.edge = (int(u), int(v))
+        return self
+
+
+def _final_edge_snapshot(
+    method: str, final: _FinalEdge, checkpoint: float
+) -> Optional[Tuple[int, int]]:
+    """The replicate's last sampled edge (``None`` before any step)."""
+    return final.edge
 
 
 def table4(
@@ -420,7 +454,10 @@ def table4(
     sampled edge is the snapshot, and
     :func:`repro.markov.transient.final_edge_gap_from_edges`
     aggregates them; ``procs`` fans the (many) replicates across
-    worker processes.
+    worker processes.  The final edge is read off the replicate's
+    block of edge keys on the csr sessions (``backend="csr"`` or any
+    ``procs``), so no trace is materialized there, and off its trace
+    increment on the list walkers.
     """
     from repro.markov.transient import final_edge_gap_from_edges
 
@@ -448,6 +485,7 @@ def table4(
             graph=lcc,
             samplers=samplers,
             budgets=[float(budget)],
+            accumulator=lambda method: _FinalEdge(),
             snapshot=_final_edge_snapshot,
             method_seed=method_seed,
             backend=backend,

@@ -1,16 +1,21 @@
 """Fused walk+accumulate blocks: the eq. (7)/(9) sufficient statistics.
 
-The streaming estimators only ever reduce a trace increment down to a
-handful of small statistics — per-degree visit counts, 1/deg-reweighted
-sums, per-vertex visit counts, and the sampled edge multiset.  A
-:class:`FusedBlock` is the exact-integer carrier for those statistics:
-handed a block, the walk kernels (``repro_*_steps_acc`` in
-``_kernels.c``) fold each stat-bearing step straight into it while
-advancing the walker, so an anytime checkpoint costs O(max_degree)
-scratch instead of materializing an O(steps)
-:class:`~repro.sampling.vectorized.ArrayWalkTrace`.  Whether a session
-takes this block path or the trace path (``take_trace()`` →
-``update()``) depends only on its accumulators' ``fused_needs()``.
+The streaming estimators only ever reduce a walk down to a handful of
+small statistics — per-degree visit counts, 1/deg-reweighted sums,
+per-vertex visit counts, and the sampled edge multiset.  A
+:class:`FusedBlock` is the exact-integer carrier for those statistics,
+and the one input of every accumulator's count reduction.  A block
+reaches an accumulator two ways, with the same counts:
+
+- handed a block, the walk kernels (``repro_*_steps_acc`` in
+  ``_kernels.c``) fold each stat-bearing step straight into it while
+  advancing the walker, so an anytime checkpoint costs O(max_degree)
+  scratch instead of materializing an O(steps)
+  :class:`~repro.sampling.vectorized.ArrayWalkTrace` (the block path
+  of ``advance_into``, taken when every accumulator's
+  ``fused_needs()`` names its statistics);
+- an ``ArrayWalkTrace`` increment handed to ``update()`` is folded into
+  a block of the accumulator's own needs by :func:`block_from_arrays`.
 
 Bit-equality contract: every block field is an exact int64 count —
 
@@ -20,16 +25,15 @@ Bit-equality contract: every block field is an exact int64 count —
   ``v`` (length ``num_vertices``),
 - ``edge_keys``      — append-order ``u * key_base + v`` keys with
   ``key_base = num_vertices``, so keys decode uniquely and sort in
-  ``(u, v)`` order — the same order ``_unique_edges`` produces on the
-  trace path.
+  ``(u, v)`` order for any ``key_base`` above the largest target.
 
 Float statistics (Σ1/deg and friends) are deliberately *derived in
 Python* from the integer counts rather than accumulated in C: summing
 ``count/degree`` per distinct degree is one float expression shared
-verbatim by the trace and block estimator paths, whereas a C-side
-running float sum would re-associate additions and drift.  Integer
-counts also make merging commutative, which is what lets the sharded
-sessions fold per-shard blocks in any order.
+verbatim by every block, whereas a C-side running float sum would
+re-associate additions and drift.  Integer counts also make merging
+commutative, which is what lets a session fold a retained step record
+and its next kernel call into one block.
 """
 
 from __future__ import annotations
@@ -71,8 +75,8 @@ def merge_needs(parts: Iterable[object]) -> Optional[FusedNeeds]:
     """The union of every part's needs, or ``None`` if any part cannot fuse.
 
     A part is fuse-capable when it exposes ``fused_needs()`` returning a
-    :class:`FusedNeeds`; anything else (plain trace collectors,
-    whole-trace estimators returning ``None``) forces the trace path.
+    :class:`FusedNeeds`; anything else (a trace collector, or a part
+    whose ``fused_needs()`` returns ``None``) forces the trace path.
     """
     merged = FusedNeeds()
     for part in parts:
@@ -94,7 +98,8 @@ class FusedBlock:
     degree-statistics bundle is the ``max_degree + 1`` count array
     alone.  Counts accumulate across kernel calls and folded step
     records (a session folds a retained record and its next kernel call
-    into one block; the sharded sessions fold their merged chunks).
+    into one block).  ``max_degree`` sizes the degree counts only, and
+    is ignored when the block keeps none.
     """
 
     def __init__(
@@ -104,8 +109,8 @@ class FusedBlock:
         self.num_vertices = int(num_vertices)
         self.max_degree = int(max_degree)
         #: Edge keys are ``u * key_base + v``; ``key_base`` is the
-        #: vertex count, which keeps the decoded (u, v) sort order
-        #: identical to the trace path's ``_unique_edges``.
+        #: vertex count, above every target, so sorted keys decode in
+        #: ``(u, v)`` order.
         self.key_base = int(num_vertices)
         #: Stat-bearing steps folded in so far (MH counts accepted
         #: proposals only, mirroring ``ArrayMetropolisTrace.step_targets``).
@@ -145,7 +150,7 @@ class FusedBlock:
 
     def fold_step_arrays(
         self,
-        degrees: np.ndarray,
+        degrees: Optional[np.ndarray],
         sources: np.ndarray,
         targets: np.ndarray,
     ) -> None:
@@ -154,10 +159,12 @@ class FusedBlock:
         The vectorized mirror of the C kernels' per-step increments
         (``np.bincount`` of int64 indices is the same exact integer
         arithmetic), used by the pure-Python kernels, by csr sessions
-        folding a retained step record, and by the sharded sessions,
-        whose time-ordered merge already materializes the step arrays.
+        folding a retained step record, and by
+        :func:`block_from_arrays`.  ``degrees`` (the graph's degree
+        sequence) is read only when the block keeps degree counts.
         """
         if self.deg_counts is not None:
+            assert degrees is not None
             self.deg_counts += np.bincount(
                 degrees[targets], minlength=self.deg_counts.size
             )
@@ -174,12 +181,28 @@ class FusedBlock:
 
 def block_from_arrays(
     needs: FusedNeeds,
-    degrees: np.ndarray,
     sources: np.ndarray,
     targets: np.ndarray,
+    degrees: Optional[np.ndarray],
 ) -> FusedBlock:
-    """Build a block directly from a materialized step record."""
-    max_degree = int(degrees.max()) if degrees.size else 0
-    block = FusedBlock(needs, int(degrees.size), max_degree)
+    """Fold a materialized step record into a block of its own size.
+
+    How :meth:`~repro.estimators.streaming.StreamingEstimator.update`
+    reads an array trace increment.  The block spans vertex ids up to
+    the record's largest and degrees up to its largest target's, so a
+    short increment of a large graph folds without a pass over every
+    vertex; its smaller ``key_base`` sorts and decodes the edge keys as
+    a graph-wide block's does.  ``degrees`` (the graph's degree
+    sequence) is read only when ``needs`` keeps degree counts, and may
+    be ``None`` otherwise.
+    """
+    num_vertices = (
+        int(max(sources.max(), targets.max())) + 1 if targets.size else 0
+    )
+    max_degree = 0
+    if needs.degree_counts and targets.size:
+        assert degrees is not None
+        max_degree = int(degrees[targets].max())
+    block = FusedBlock(needs, num_vertices, max_degree)
     block.fold_step_arrays(degrees, sources, targets)
     return block

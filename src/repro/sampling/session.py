@@ -936,11 +936,14 @@ class _ArraySession(SamplerSession):
         type(self)._advance_batch([self], steps, None)
 
     def _fused_block(self, needs: FusedNeeds) -> FusedBlock:
-        if self._max_degree is None:
-            degrees = vectorized.degrees_array(self._fast)
+        """An empty block of ``needs`` over the session's CSR; the max
+        degree that sizes degree counts is read only for blocks that
+        keep them."""
+        if needs.degree_counts and self._max_degree is None:
+            degrees = self._fast.degrees()
             self._max_degree = int(degrees.max()) if degrees.size else 0
         return FusedBlock(
-            needs, int(self._fast.num_vertices), self._max_degree
+            needs, int(self._fast.num_vertices), self._max_degree or 0
         )
 
     def advance_into(
@@ -987,7 +990,7 @@ class _ArraySession(SamplerSession):
                 if session._source_chunks:
                     retained = session.take_trace()
                     block.fold_step_arrays(
-                        vectorized.degrees_array(session._fast),
+                        session._fast.degrees(),
                         retained.step_sources,
                         retained.step_targets,
                     )

@@ -77,11 +77,10 @@ from repro.sampling.base import (
     check_seeding,
     require_walkable_seeds,
 )
-from repro.sampling.fused import FusedNeeds, block_from_arrays, merge_needs
+from repro.sampling.fused import FusedNeeds
 from repro.sampling.session import (
     _REPLICATE_BATCH,
     SamplerSession,
-    _accumulator_parts,
     concat_chunks,
     default_session_starter,
     record_checkpoints,
@@ -407,11 +406,11 @@ class ShardedFrontierSession(_SpawnPoolMixin, SamplerSession):
 
     ``advance(n)`` extends the *merged* jump sequence by ``n`` events:
     shards generate per-walker event blocks (in workers when
-    ``procs > 1`` and processes are enabled, inline otherwise), the
-    coordinator merges everything generated so far by ``(jump_time,
-    walker_index)`` and commits the first ``n`` uncommitted events to
-    the trace; overshoot events stay buffered for the next advance, so
-    chunking never re-draws randomness.  See the module docstring for
+    ``procs > 1``, inline otherwise), the coordinator merges everything
+    generated so far by ``(jump_time, walker_index)`` and commits the
+    first ``n`` uncommitted events to the trace; overshoot events stay
+    buffered for the next advance, so chunking never re-draws
+    randomness.  See the module docstring for
     the invariances this buys.
 
     The pool, the spilled graph files and the CSR handle are excluded
@@ -444,7 +443,6 @@ class ShardedFrontierSession(_SpawnPoolMixin, SamplerSession):
         require_walkable_seeds(csr, seeds, "FS cannot walk from it")
         self.entropy = entropy
         self._init_sharing(sampler.procs, sampler.executor)
-        self._use_processes = sampler.use_processes
         self.event_block = int(sampler.event_block)
         self._walkers = [
             _WalkerClock(
@@ -477,12 +475,11 @@ class ShardedFrontierSession(_SpawnPoolMixin, SamplerSession):
             (self._walkers[index], blocks)
             for index, blocks in sorted(blocks_by_walker.items())
         ]
-        run_parallel = self._use_processes is not False and self.procs > 1
         tasks = [
             (self.event_block, shard)
             for shard in _partition(items, self.procs)
         ]
-        if not run_parallel:
+        if self.procs <= 1:
             shard_results = [
                 _shard_advance_task(self._csr, task) for task in tasks
             ]
@@ -598,42 +595,6 @@ class ShardedFrontierSession(_SpawnPoolMixin, SamplerSession):
         self._source_chunks = []
         self._target_chunks = []
 
-    def advance_into(
-        self,
-        accumulators: Any,
-        steps: Optional[int] = None,
-        budget: Optional[float] = None,
-    ) -> int:
-        """Advance, then fold the committed increment as one block.
-
-        The sharded session must materialize per-shard event arrays
-        anyway (the time-ordered merge is what makes shard count a
-        deployment knob), so its block path folds each committed
-        increment into a :class:`~repro.sampling.fused.FusedBlock` with
-        the vectorized integer kernels instead of running the C
-        accumulators.  Because every block field is an exact int64
-        count, the per-shard/per-chunk fold order cannot change the
-        result — the merge is time-order-invariant by construction —
-        and estimates stay bit-identical to the trace path.
-        """
-        parts = _accumulator_parts(accumulators)
-        needs = merge_needs(parts)
-        if needs is None:
-            return super().advance_into(
-                accumulators, steps=steps, budget=budget
-            )
-        taken = self._step(steps, budget)
-        increment = self.take_trace()
-        block = block_from_arrays(
-            needs,
-            self._csr.degrees(),
-            increment.step_sources,
-            increment.step_targets,
-        )
-        for part in parts:
-            part.absorb_block(block)
-        return taken
-
     def _reattach(self, graph: Any) -> None:
         self._csr = get_csr(graph)
 
@@ -651,9 +612,9 @@ class ShardedFrontierSampler(Sampler):
     exactly: ``m`` seeds at ``seed_cost`` each, one unit per merged
     jump.
 
-    ``procs=None`` uses every CPU; ``use_processes=False`` runs the
-    shard tasks inline (same draw protocol, no pool — useful for tests
-    and single-core hosts).  ``executor`` picks the fan-out vehicle
+    ``procs=None`` uses every CPU; ``procs=1`` runs the shard tasks
+    inline (same draw protocol, no pool).  ``executor`` picks the
+    fan-out vehicle
     when ``procs > 1``: ``"spawn"`` (the default, ``None``) ships
     shards to worker processes over mmap'd CSR buffers, ``"thread"``
     drives them from a ``ThreadPoolExecutor`` over the in-process
@@ -666,7 +627,9 @@ class ShardedFrontierSampler(Sampler):
     degree-proportional pick (that is Theorem 5.5's content).
     Sessions returned by :meth:`start` hold worker resources and
     possibly temp files — call ``close()`` (or use the session as a
-    context manager) when done.
+    context manager) when done.  Their ``advance_into`` hands
+    accumulators the ``take_trace()`` increment, which the time-ordered
+    merge materializes anyway; ``update`` folds it into a block.
     """
 
     name = "ShardedFS"
@@ -677,7 +640,6 @@ class ShardedFrontierSampler(Sampler):
         seeding: SeedingMode = "uniform",
         seed_cost: float = 1.0,
         procs: Optional[int] = None,
-        use_processes: Optional[bool] = None,
         event_block: int = EVENT_BLOCK,
         executor: Optional[str] = None,
     ) -> None:
@@ -691,7 +653,6 @@ class ShardedFrontierSampler(Sampler):
         if procs is not None and procs < 1:
             raise ValueError(f"procs must be >= 1, got {procs}")
         self.procs = procs
-        self.use_processes = use_processes
         if event_block < 1:
             raise ValueError(
                 f"event_block must be >= 1, got {event_block}"

@@ -196,13 +196,6 @@ class ArrayMetropolisTrace(ArrayWalkTrace):
 # ----------------------------------------------------------------------
 # shared helpers
 # ----------------------------------------------------------------------
-def degrees_array(graph: GraphLike) -> np.ndarray:
-    """Degree sequence of either representation as an int64 array."""
-    if isinstance(graph, CSRGraph):
-        return graph.degrees()
-    return np.asarray(graph.degrees(), dtype=np.int64)
-
-
 def _scale(u: float, range_: int) -> int:
     """``int(u * range_)`` with the same clamp the C kernels apply."""
     value = int(u * range_)
@@ -266,7 +259,7 @@ def make_seeds_np(
     if mode == "uniform":
         return _draw_uniform(get_csr(graph).walkable(), count, rng)
     if mode == "stationary":
-        return stationary_seeds_np(degrees_array(graph), count, rng)
+        return stationary_seeds_np(get_csr(graph).degrees(), count, rng)
     raise ValueError(
         f"seeding must be one of ('uniform', 'stationary'), got {mode!r}"
     )
@@ -297,7 +290,7 @@ def _fold(
     ``None``), the vectorized mirror of the kernels' block path."""
     if block is None:
         return record
-    block.fold_step_arrays(degrees_array(graph), record[0], record[1])
+    block.fold_step_arrays(graph.degrees(), record[0], record[1])
     return None
 
 

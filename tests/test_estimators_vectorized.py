@@ -52,6 +52,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph
 from repro.graph.labels import EdgeLabeling, VertexLabeling
 from repro.sampling.base import WalkTrace
+from repro.sampling.fused import FusedNeeds, block_from_arrays
 from repro.sampling.frontier import FrontierSampler
 from repro.sampling.metropolis import MetropolisHastingsWalk
 from repro.sampling.vectorized import ArrayWalkTrace
@@ -318,7 +319,10 @@ class TestVectorizedInternals:
     def test_unique_edges_multiplicities(self):
         sources = np.array([2, 0, 2, 2], dtype=np.int64)
         targets = np.array([1, 1, 1, 0], dtype=np.int64)
-        us, vs, counts = streaming._unique_edges(sources, targets)
+        block = block_from_arrays(
+            FusedNeeds(edge_keys=True), sources, targets, None
+        )
+        us, vs, counts = streaming._decode_edge_keys(block)
         observed = {
             (int(u), int(v)): int(c) for u, v, c in zip(us, vs, counts)
         }

@@ -42,6 +42,7 @@ from repro.estimators.streaming import (
 )
 from repro.experiments.engine import ExperimentPlan, TraceCollector, run_plan
 from repro.generators.ba import barabasi_albert
+from repro.graph.csr import get_csr
 from repro.graph.digraph import DiGraph
 from repro.graph.labels import EdgeLabeling, VertexLabeling
 from repro.sampling import (
@@ -51,8 +52,14 @@ from repro.sampling import (
     SingleRandomWalk,
     load_session,
 )
-from repro.sampling.fused import FusedBlock, FusedNeeds, merge_needs
+from repro.sampling.fused import (
+    FusedBlock,
+    FusedNeeds,
+    block_from_arrays,
+    merge_needs,
+)
 from repro.sampling.sharded import ShardedFrontierSampler
+from repro.sampling.vectorized import ArrayWalkTrace
 
 _GRAPH = None
 
@@ -298,6 +305,46 @@ class TestBlockStructure:
         assert block.visit_counts is None
         assert block.new_edge_buffer(10_000) is None
         assert block.edge_key_array().size == 0
+
+    def test_folded_increment_reads_as_the_graph_wide_block(self):
+        """An array increment on low vertex ids folds into a block sized
+        to its largest id and target degree, and every accumulator reads
+        the same estimate from it as from the graph-wide block of the
+        same steps."""
+        graph = fused_graph()
+        csr = get_csr(graph)
+        degrees = csr.degrees()
+        low = 60
+        rng = np.random.default_rng(0)
+        sources, targets, position = [], [], 0
+        for _ in range(500):
+            row = [w for w in graph.neighbors(position) if w < low]
+            step = row[int(rng.integers(len(row)))]
+            sources.append(position)
+            targets.append(step)
+            position = step
+        trace = ArrayWalkTrace(
+            "SingleRW",
+            np.array(sources, dtype=np.int64),
+            np.array(targets, dtype=np.int64),
+            [0],
+            500.0,
+            1.0,
+        )
+        folded_parts, wide_parts = make_parts(graph), make_parts(graph)
+        needs = merge_needs(wide_parts)
+        folded = block_from_arrays(
+            needs, trace.step_sources, trace.step_targets, degrees
+        )
+        assert folded.num_vertices == max(sources + targets) + 1 <= low
+        assert folded.max_degree == int(degrees[trace.step_targets].max())
+        wide = FusedBlock(needs, csr.num_vertices, int(degrees.max()))
+        wide.fold_step_arrays(degrees, trace.step_sources, trace.step_targets)
+        for part in folded_parts:
+            part.update(trace)
+        for part in wide_parts:
+            part.absorb_block(wide)
+        assert estimates(folded_parts) == estimates(wide_parts)
 
 
 def streaming_accumulator(method):

@@ -70,7 +70,7 @@ def csr(graph):
 
 def inline_sampler(dimension=6, procs=1, **kwargs):
     return ShardedFrontierSampler(
-        dimension, procs=procs, use_processes=False, **kwargs
+        dimension, procs=procs, executor="thread", **kwargs
     )
 
 

@@ -47,7 +47,7 @@ FACTORIES = (
     lambda: MetropolisHastingsWalk(),
     lambda: MultipleRandomWalk(4),
     lambda: FrontierSampler(8),
-    lambda: ShardedFrontierSampler(4, use_processes=False, procs=1),
+    lambda: ShardedFrontierSampler(4, procs=1),
 )
 
 

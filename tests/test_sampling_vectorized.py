@@ -217,7 +217,7 @@ class TestHypothesisParity:
 class TestSeeding:
     def test_uniform_seeds_skip_isolated(self):
         graph = disconnected_graph()
-        degrees = vec.degrees_array(graph)
+        degrees = get_csr(graph).degrees()
         seeds = vec.uniform_seeds_np(
             degrees, 500, np.random.default_rng(0)
         )
@@ -226,7 +226,7 @@ class TestSeeding:
 
     def test_stationary_seeds_degree_proportional(self):
         graph = Graph.from_edges([(0, 1), (0, 2), (0, 3)])  # star
-        degrees = vec.degrees_array(graph)
+        degrees = get_csr(graph).degrees()
         seeds = vec.stationary_seeds_np(
             degrees, 6000, np.random.default_rng(1)
         )
