@@ -428,15 +428,6 @@ class StreamingAverageDegree(StreamingEstimator):
         self._steps = 0
         self._inverse_sum = 0.0
 
-    def _absorb_degree_counts(self, counts: np.ndarray) -> None:
-        """Fold exact per-degree visit counts into ``S``."""
-        degrees = np.flatnonzero(counts)
-        contributions = counts[degrees].astype(np.float64) / degrees.astype(
-            np.float64
-        )
-        self._inverse_sum += float(contributions.sum())
-        self._steps += int(counts.sum())
-
     def _update_list(self, trace: WalkTrace) -> None:
         graph = self.graph
         for _, v in trace.edges:
@@ -447,8 +438,15 @@ class StreamingAverageDegree(StreamingEstimator):
         return FusedNeeds(degree_counts=True)
 
     def _absorb_block(self, block: FusedBlock) -> None:
-        assert block.deg_counts is not None
-        self._absorb_degree_counts(block.deg_counts)
+        """Fold exact per-degree visit counts into ``S``."""
+        counts = block.deg_counts
+        assert counts is not None
+        degrees = np.flatnonzero(counts)
+        contributions = counts[degrees].astype(np.float64) / degrees.astype(
+            np.float64
+        )
+        self._inverse_sum += float(contributions.sum())
+        self._steps += int(counts.sum())
 
     def estimate(self) -> float:
         if self._steps == 0:

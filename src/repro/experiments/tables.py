@@ -21,11 +21,7 @@ from repro.datasets.registry import (
     livejournal_like,
     youtube_like,
 )
-from repro.estimators.streaming import (
-    StreamingAssortativity,
-    StreamingClustering,
-    StreamingEstimator,
-)
+from repro.estimators.streaming import StreamingAssortativity, StreamingClustering
 from repro.experiments.engine import ExperimentPlan, run_plan
 from repro.experiments.render import format_float, render_table
 from repro.graph.components import largest_connected_component
@@ -119,9 +115,7 @@ class Table2Result:
         )
 
 
-def _estimate_snapshot(
-    method: str, accumulator: StreamingEstimator, checkpoint: float
-) -> float:
+def _estimate_snapshot(method: str, accumulator, checkpoint: float) -> float:
     return accumulator.estimate()
 
 
@@ -131,7 +125,7 @@ def _scalar_plan(
     samplers: Dict[str, Sampler],
     budget: float,
     seed: int,
-    accumulator: Callable[[Any], StreamingEstimator],
+    accumulator: Callable[[Any], Any],
     backend: Optional[Backend],
 ) -> ExperimentPlan:
     """A one-budget plan whose replicates each feed a fresh
@@ -413,8 +407,7 @@ class _FinalEdge:
     def absorb_block(self, block: FusedBlock) -> "_FinalEdge":
         keys = block.edge_key_array()
         if keys.size:
-            u, v = divmod(int(keys[-1]), block.key_base)
-            self.edge = (u, v)
+            self.edge = divmod(int(keys[-1]), block.key_base)
         return self
 
     def update(self, trace) -> "_FinalEdge":
@@ -424,9 +417,7 @@ class _FinalEdge:
         return self
 
 
-def _final_edge_snapshot(
-    method: str, final: _FinalEdge, checkpoint: float
-) -> Optional[Tuple[int, int]]:
+def _final_edge_snapshot(method: str, final: _FinalEdge, checkpoint: float):
     """The replicate's last sampled edge (``None`` before any step)."""
     return final.edge
 

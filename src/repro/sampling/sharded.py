@@ -406,11 +406,11 @@ class ShardedFrontierSession(_SpawnPoolMixin, SamplerSession):
 
     ``advance(n)`` extends the *merged* jump sequence by ``n`` events:
     shards generate per-walker event blocks (in workers when
-    ``procs > 1``, inline otherwise), the coordinator merges everything
-    generated so far by ``(jump_time, walker_index)`` and commits the
-    first ``n`` uncommitted events to the trace; overshoot events stay
-    buffered for the next advance, so chunking never re-draws
-    randomness.  See the module docstring for
+    ``procs > 1``, inline otherwise), the
+    coordinator merges everything generated so far by ``(jump_time,
+    walker_index)`` and commits the first ``n`` uncommitted events to
+    the trace; overshoot events stay buffered for the next advance, so
+    chunking never re-draws randomness.  See the module docstring for
     the invariances this buys.
 
     The pool, the spilled graph files and the CSR handle are excluded
