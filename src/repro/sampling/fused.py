@@ -190,9 +190,9 @@ def block_from_arrays(
     How :meth:`~repro.estimators.streaming.StreamingEstimator.update`
     reads an array trace increment.  The block spans vertex ids up to
     the record's largest and degrees up to its largest target's, so a
-    short increment of a large graph folds without a pass over every
-    vertex; its smaller ``key_base`` sorts and decodes the edge keys as
-    a graph-wide block's does.  ``degrees`` (the graph's degree
+    short increment of a large graph allocates no count array over the
+    whole graph; its smaller ``key_base`` sorts and decodes the edge
+    keys as a graph-wide block's does.  ``degrees`` (the graph's degree
     sequence) is read only when ``needs`` keeps degree counts, and may
     be ``None`` otherwise.
     """
